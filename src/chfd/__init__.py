@@ -39,17 +39,15 @@ from .scheme import (
     SchemeParams,
     SourceSpec,
     StepState,
-    apply_N,
     assemble_rhs,
     ghost_init,
     manufactured_solution,
     manufactured_source,
     manufactured_source_stencil,
-    objective_F,
     restart_flat,
     step,
 )
-from .psd import PsdConfig, SolverError, SolveStats, line_search, residual, search_direction, solve
+from .psd import PsdConfig, SolverError, SolveStats, UpdateOperator, solve
 from .diagnostics import EnergyRecord, energy, fit_power_law, modified_energy
 
 __all__ = [
@@ -79,21 +77,17 @@ __all__ = [
     "SchemeParams",
     "SourceSpec",
     "StepState",
-    "apply_N",
     "assemble_rhs",
     "ghost_init",
     "manufactured_solution",
     "manufactured_source",
     "manufactured_source_stencil",
-    "objective_F",
     "restart_flat",
     "step",
     "PsdConfig",
     "SolverError",
     "SolveStats",
-    "line_search",
-    "residual",
-    "search_direction",
+    "UpdateOperator",
     "solve",
     "EnergyRecord",
     "energy",

@@ -67,7 +67,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
-_SNAPSHOT_TIME_SLACK = 1e-9
+# Two times closer than this, relative to max(1, |t|), are the same step time;
+# it covers the rounding that t = t + dt accumulates over a long run.
+_TIME_REL_TOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -126,6 +128,54 @@ def _section(data: dict, name: str, allowed: set[str], required: set[str] = froz
     if missing:
         raise ConfigError(f"missing required key(s) in '{name}': {', '.join(sorted(missing))}")
     return sec
+
+
+def _reached(t_target: float, t: float) -> bool:
+    """Whether time t is at or past t_target, up to the step-time tolerance."""
+    return t_target <= t + _TIME_REL_TOL * max(1.0, abs(t))
+
+
+def _whole_steps(span: float, dt: float) -> int | None:
+    """span / dt when it is a whole number to a relative 1e-9, else None."""
+    n = span / dt
+    k = round(n)
+    return k if abs(n - k) <= _TIME_REL_TOL * max(1.0, abs(n)) else None
+
+
+def _check_lattice(
+    schedule: tuple[SegmentConfig, ...], t0: float, snapshot_times: tuple[float, ...]
+) -> None:
+    """Reject segments and snapshot times that steps taken from t0 cannot land on.
+
+    Each segment must hold a whole number of its steps, counted from t0 or
+    from the end of the segment before it; segments that end by t0 (a warm
+    start) are skipped.  A snapshot time must be at or before t0, or a step
+    time no later than the schedule end.
+    """
+    t_start = t0
+    snaps = sorted(s for s in snapshot_times if not _reached(s, t0))
+    for i, seg in enumerate(schedule):
+        if _reached(seg.t_end, t_start):
+            continue
+        if not _whole_steps(seg.t_end - t_start, seg.dt):
+            raise ConfigError(
+                f"schedule[{i}]: ({seg.t_end!r} - {t_start!r}) / dt = "
+                f"{(seg.t_end - t_start) / seg.dt!r} is not a whole number of steps "
+                f"of dt = {seg.dt!r}"
+            )
+        inside = [s for s in snaps if _reached(s, seg.t_end)]
+        for s in inside:
+            if _whole_steps(s - t_start, seg.dt) is None:
+                raise ConfigError(
+                    f"snapshot time {s!r} is not a step time of schedule[{i}] "
+                    f"({t_start!r} + k * {seg.dt!r})"
+                )
+        snaps = snaps[len(inside):]
+        t_start = seg.t_end
+    if snaps:
+        raise ConfigError(
+            f"snapshot time(s) {', '.join(map(repr, snaps))} after the schedule end {t_start!r}"
+        )
 
 
 def _number(sec: dict, section: str, key: str, default=None):
@@ -192,10 +242,7 @@ def parse_config(data: dict) -> RunConfig:
         path=path,
     )
 
-    solver_sec = _section(
-        data, "solver",
-        {"tol_rel", "tol_abs", "max_iter", "init_guess", "precond_power", "track_objective"},
-    )
+    solver_sec = _section(data, "solver", {"tol_rel", "tol_abs", "max_iter", "init_guess"})
     try:
         solver = PsdConfig(**solver_sec)
     except (TypeError, ValueError) as exc:
@@ -225,6 +272,8 @@ def parse_config(data: dict) -> RunConfig:
 
     if data:
         raise ConfigError(f"unknown top-level section(s): {', '.join(sorted(data))}")
+    if kind != "file":  # a warm start is checked against the file's time
+        _check_lattice(tuple(segments), 0.0, output.snapshot_times)
     return RunConfig(
         L=L, m=m, eps=eps, A=A,
         schedule=tuple(segments),
@@ -306,8 +355,9 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
     Writes (when ``write_outputs``): ``energy.csv`` streamed row by row, the
     requested snapshots, and a ``run.yaml`` echo of the effective config. The
     energy CSV always contains the initial row, every ``energy_every``-th
-    step, and the final step.  A snapshot requested at time t is taken at the
-    first completed step whose time reaches t (no interpolation).
+    step, and the final step.  Every segment and snapshot time must sit on the
+    step lattice from the initial time (ConfigError otherwise), so a snapshot
+    is taken at exactly the step time it names.
     """
     grid = GridSpec(L=config.L, m=config.m)
     plan = make_plan(grid)
@@ -317,11 +367,12 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
         else None
     )
     state = _initial_state(config, grid, source)
-    if state.t >= config.schedule[-1].t_end - _SNAPSHOT_TIME_SLACK:
+    if _reached(config.schedule[-1].t_end, state.t):
         raise ConfigError(
             f"initial time {state.t} is already past the schedule end "
             f"{config.schedule[-1].t_end}"
         )
+    _check_lattice(config.schedule, state.t, config.output.snapshot_times)
 
     out_dir = Path(config.output.dir)
     csv_writer = None
@@ -345,27 +396,27 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
                 yaml.safe_dump(_config_echo(config), fh, sort_keys=True)
             csv_writer = EnergyCsvWriter(out_dir / "energy.csv")
 
-        first_params = SchemeParams(eps=config.eps, dt=config.schedule[0].dt, A=config.A)
+        E0 = energy(state.phi_curr, config.eps)
         rec0 = EnergyRecord(
             step=0,
             t=state.t,
             mass=mean(state.phi_curr),
-            E=energy(state.phi_curr, config.eps),
+            E=E0,
             E_mod=modified_energy(state.phi_curr, state.phi_prev, config.eps,
-                                  first_params.dt, plan),
+                                  config.schedule[0].dt, plan, E=E0),
             psd_iters=0,
             residual=0.0,
         )
         records = [rec0]
         if csv_writer:
             csv_writer.write(rec0)
-        while pending_snaps and pending_snaps[0] <= state.t + _SNAPSHOT_TIME_SLACK:
+        while pending_snaps and _reached(pending_snaps[0], state.t):
             take_snapshot(pending_snaps.pop(0), state.t, state.phi_curr)
 
         solve_stats: list[SolveStats] = []
         global_step = 0
         for seg_index, seg in enumerate(config.schedule):
-            if state.t >= seg.t_end - _SNAPSHOT_TIME_SLACK:
+            if _reached(seg.t_end, state.t):
                 continue  # segment entirely before a warm start's time
             if seg_index > 0:
                 # a dt change invalidates the stored history; restart flat
@@ -384,7 +435,7 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
                     global_step % config.output.energy_every == 0 or is_last
                 ):
                     csv_writer.write(record)
-                while pending_snaps and pending_snaps[0] <= state.t + _SNAPSHOT_TIME_SLACK:
+                while pending_snaps and _reached(pending_snaps[0], state.t):
                     take_snapshot(pending_snaps.pop(0), state.t, state.phi_curr)
     finally:
         if csv_writer:

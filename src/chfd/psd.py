@@ -1,15 +1,25 @@
 """Preconditioned steepest descent for the implicit update.
 
-Each iteration projects the raw residual onto the mean-zero subspace, applies
-the inverse of a constant-coefficient preconditioner (diagonal in Fourier
-space, see :func:`chfd.spectral.precondition_solve`) to get a search
-direction, and then minimizes the strictly convex one-dimensional restriction
-of the objective exactly: its derivative along the direction is the cubic
+The update N[phi] = f (see :mod:`chfd.scheme`) is the critical-point
+equation of the strictly convex objective
+
+    F[phi] = 1/3 |B|_{-1}^2 + dt/4 |phi|_4^4
+             + dt/2 (A dt + eps^2) |grad4 phi|^2 - (f, phi),
+
+with B = 3/2 phi - 2 phi_k + 1/2 phi_km1, on the mass hyperplane
+mean(phi) = beta0.  :class:`UpdateOperator` holds N, F and the line-search
+cubic in Fourier form; :func:`solve` is the only loop that drives it.
+
+Each iteration projects the residual onto the mean-zero subspace, applies the
+inverse of a constant-coefficient preconditioner (diagonal in Fourier space)
+to get a search direction d, and then minimizes F exactly along d: the
+derivative of F along d is the cubic
 
     q(alpha) = c0 + c1 alpha + c2 alpha^2 + c3 alpha^3,
 
 with c1 > 0 and c3 >= 0, and q is strictly increasing, so the step size is
-the unique real root.
+the unique real root.  The objective is evaluated once, at the initial guess,
+and then advanced by the exact increment of each line search.
 """
 from __future__ import annotations
 
@@ -18,19 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scheme as _scheme
-from .grid import Field, inner_l2, norm_l2
-from .operators import grad_norm_sq_long, laplace_long
-from .spectral import SpectralPlan, _inv_sigma, _irfft, _quad, _rfft, hminus1_norm
+from .grid import Field, norm_l2
+from .spectral import SpectralPlan, _inv_sigma, _irfft, _quad, _rfft
 
 __all__ = [
     "PsdConfig",
     "SolveStats",
     "SolverError",
     "LineSearchCubic",
-    "residual",
-    "search_direction",
-    "line_search_cubic",
-    "line_search",
+    "UpdateOperator",
     "solve",
 ]
 
@@ -55,8 +61,6 @@ class PsdConfig:
     tol_abs: float | None = None
     max_iter: int = 200
     init_guess: str = "extrapolated"  # or "previous"
-    precond_power: int = 1
-    track_objective: bool = True
 
     def __post_init__(self) -> None:
         if self.init_guess not in ("extrapolated", "previous"):
@@ -67,12 +71,12 @@ class PsdConfig:
 
 @dataclass
 class SolveStats:
-    """Iteration count plus per-iterate residual norms (and objective values)."""
+    """Iteration count plus per-iterate residual norms and objective values."""
 
     iterations: int
     residuals: list[float]
     alphas: list[float] = field(default_factory=list)
-    objectives: list[float] | None = None
+    objectives: list[float] = field(default_factory=list)
 
     @property
     def residual_ratios(self) -> list[float]:
@@ -93,6 +97,12 @@ class LineSearchCubic:
 
     def derivative(self, alpha: float) -> float:
         return self.c1 + alpha * (2.0 * self.c2 + 3.0 * alpha * self.c3)
+
+    def integral(self, alpha: float) -> float:
+        """Change of the objective from 0 to alpha: the integral of q."""
+        return alpha * (
+            self.c0 + alpha * (self.c1 / 2.0 + alpha * (self.c2 / 3.0 + alpha * self.c3 / 4.0))
+        )
 
     def root(self) -> float:
         """Unique real root, via safeguarded Newton in an expanding bracket."""
@@ -141,62 +151,79 @@ class LineSearchCubic:
         return alpha
 
 
-def residual(
-    state: _scheme.StepState,
-    params: _scheme.SchemeParams,
-    phi: Field,
-    rhs: Field,
-    plan: SpectralPlan,
-) -> Field:
-    """Mean-zero projection of f - N[phi]."""
-    r = rhs.values - _scheme.apply_N(state, params, phi, plan).values
-    return Field(phi.grid, r - r.mean())
+class UpdateOperator:
+    """N, the objective and the line-search cubic of one update, in Fourier form.
 
+    With Lambda the symbol of -lap4 (so 1/Lambda is the inverse Laplacian on
+    mean-zero data) and H = 2 phi_k - 1/2 phi_km1,
 
-def search_direction(
-    plan: SpectralPlan, r: Field, params: _scheme.SchemeParams, precond_power: int = 1
-) -> Field:
-    """Preconditioned residual; mean-zero like r."""
-    from .spectral import precondition_solve
+        N[phi] = Lin + dt phi^3,   Lin^ = S phi^ - H^ / Lambda,
+        S = 3/(2 Lambda) + dt (eps^2 + A dt) Lambda.
 
-    return precondition_solve(plan, r, params.dt, params.eps, params.A, precond_power)
+    Lin is affine in phi: moving phi by alpha d moves Lin by alpha S d, so a
+    solve transforms phi and H once and then only each search direction.  The
+    preconditioner is sigma = 1/Lambda + dt + dt (eps^2 + A dt) Lambda.  All
+    three symbols vanish at the zero mode, which keeps every iterate on the
+    mass hyperplane of the initial guess.  Methods take and return plain
+    arrays on ``plan.grid``.
+    """
 
+    def __init__(self, plan: SpectralPlan, params: _scheme.SchemeParams):
+        grid = plan.grid
+        self.plan = plan
+        self.dt = params.dt
+        self.visc = params.dt * (params.A * params.dt + params.eps**2)
+        self.hd = grid.h**grid.dim
+        self.S = 1.5 * plan.inv_Lambda + self.visc * plan.Lambda_long
+        self.inv_sigma = _inv_sigma(plan, params.dt, params.eps, params.A)
 
-def line_search_cubic(
-    state: _scheme.StepState,
-    params: _scheme.SchemeParams,
-    phi: Field,
-    d: Field,
-    rhs: Field,
-    plan: SpectralPlan,
-) -> LineSearchCubic:
-    """Coefficients of q(alpha) = (N[phi + alpha d] - f, d), assembled from public operators."""
-    if norm_l2(d) == 0.0:
-        raise ValueError("line search needs a nonzero direction")
-    dt = params.dt
-    c0 = inner_l2(_scheme.apply_N(state, params, phi, plan), d) - inner_l2(rhs, d)
-    hd = phi.grid.h**phi.grid.dim
-    c1 = (
-        1.5 * hminus1_norm(plan, d) ** 2
-        + 3.0 * dt * hd * float(np.sum((phi.values * d.values) ** 2))
-        + dt * (params.A * dt + params.eps**2) * inner_l2(d, Field(d.grid, -laplace_long(d).values))
-    )
-    dv = d.values
-    c2 = 3.0 * dt * hd * float(np.sum(phi.values * (dv * dv * dv)))
-    c3 = dt * hd * float(np.sum((dv * dv) * (dv * dv)))
-    return LineSearchCubic(c0, c1, c2, c3)
+    def start(
+        self, state: _scheme.StepState, phi: np.ndarray, f: np.ndarray
+    ) -> tuple[np.ndarray, float]:
+        """Lin at phi (one transform pair) and the objective F[phi]."""
+        plan, hd = self.plan, self.hd
+        hist = 2.0 * state.phi_curr.values - 0.5 * state.phi_prev.values
+        phi_hat, hist_hat = _rfft(plan, np.stack((phi, hist)))
+        lin = _irfft(plan, self.S * phi_hat - plan.inv_Lambda * hist_hat)
+        phi2 = phi * phi  # integer-power ufuncs are ~60x slower here
+        F = (
+            _quad(plan, 1.5 * phi_hat - hist_hat, plan.inv_Lambda) / 3.0
+            + 0.25 * self.dt * hd * float(np.sum(phi2 * phi2))
+            + 0.5 * self.visc * _quad(plan, phi_hat, plan.Lambda_long)
+            - hd * float(np.sum(f * phi))
+        )
+        return lin, F
 
+    def N(self, lin: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """N[phi] from its linear part; returns a new array."""
+        out = phi * phi
+        out *= phi
+        out *= self.dt
+        out += lin
+        return out
 
-def line_search(
-    state: _scheme.StepState,
-    params: _scheme.SchemeParams,
-    phi: Field,
-    d: Field,
-    rhs: Field,
-    plan: SpectralPlan,
-) -> float:
-    """Exact minimizer of the objective along d."""
-    return line_search_cubic(state, params, phi, d, rhs, plan).root()
+    def direction(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Preconditioned mean-zero residual d and S d, from one transform pair."""
+        r_hat = _rfft(self.plan, r)
+        spec = np.empty((2,) + r_hat.shape, dtype=r_hat.dtype)
+        np.multiply(r_hat, self.inv_sigma, out=spec[0])
+        np.multiply(spec[0], self.S, out=spec[1])
+        d, sd = _irfft(self.plan, spec)
+        return d, sd
+
+    def cubic(
+        self, phi: np.ndarray, r: np.ndarray, d: np.ndarray, sd: np.ndarray
+    ) -> LineSearchCubic:
+        """q(alpha) = (N[phi + alpha d] - f, d) for mean-zero d and r = P0(f - N[phi])."""
+        hd, dt = self.hd, self.dt
+        pd = phi * d
+        d2 = d * d
+        return LineSearchCubic(
+            c0=-hd * float(np.vdot(r, d)),
+            c1=hd * float(np.vdot(d, sd)) + 3.0 * dt * hd * float(np.vdot(pd, pd)),
+            c2=3.0 * dt * hd * float(np.vdot(pd, d2)),
+            c3=dt * hd * float(np.vdot(d2, d2)),
+        )
 
 
 def solve(
@@ -210,19 +237,14 @@ def solve(
 
     Stops when |P0(f - N[phi])|_2 <= tol_abs + tol_rel * |P0 f|_2.  Raises
     :class:`SolverError` (carrying the residual history) on non-convergence.
-
-    The loop fuses the building blocks for speed: the inverse-Laplacian solve
-    needed by N also yields the objective, and the line-search coefficients
-    c1 are read off the search direction's spectrum.  Tests pin this path
-    against the public residual/objective_F/line_search implementations.
     """
     if cfg is None:
         cfg = PsdConfig()
     grid = state.phi_curr.grid
     if rhs.grid != grid:
         raise ValueError("rhs grid does not match state grid")
-    dt, eps, A = params.dt, params.eps, params.A
-    hd = grid.h**grid.dim
+    op = UpdateOperator(plan, params)
+    hd = op.hd
 
     if cfg.init_guess == "extrapolated":
         phi = 2.0 * state.phi_curr.values - state.phi_prev.values
@@ -234,52 +256,36 @@ def solve(
     tol_abs = cfg.tol_abs if cfg.tol_abs is not None else 1e-15 * (1.0 + norm_l2(rhs))
     tol = tol_abs + cfg.tol_rel * float(np.sqrt(hd * np.sum(f0 * f0)))
 
-    inv_sigma = _inv_sigma(plan, dt, eps, A, cfg.precond_power)
-    visc = dt * (A * dt + eps**2)
+    lin, F = op.start(state, phi, fvals)
     residuals: list[float] = []
     alphas: list[float] = []
-    objectives: list[float] | None = [] if cfg.track_objective else None
+    objectives: list[float] = []
 
     for it in range(cfg.max_iter + 1):
-        N, B, TB = _scheme._n_parts(state, params, phi, plan)
-        r = fvals - N
+        n = op.N(lin, phi)
+        r = np.subtract(fvals, n, out=n)
         r -= r.mean()
-        rnorm = float(np.sqrt(hd * np.sum(r * r)))
+        rnorm = float(np.sqrt(hd * np.vdot(r, r)))
         residuals.append(rnorm)
-        if objectives is not None:
-            phi2 = phi * phi  # integer-power ufuncs are ~60x slower here
-            Fval = (
-                hd * float(np.sum(B * TB)) / 3.0
-                + 0.25 * dt * hd * float(np.sum(phi2 * phi2))
-                + 0.5 * visc * grad_norm_sq_long(Field(grid, phi))
-                - hd * float(np.sum(fvals * phi))
-            )
-            objectives.append(Fval)
+        objectives.append(F)
         if rnorm <= tol:
             return Field(grid, phi), SolveStats(it, residuals, alphas, objectives)
         if it == cfg.max_iter:
             break
-        rhat = _rfft(plan, r)
-        dhat = rhat * inv_sigma
-        d = _irfft(plan, dhat)
-        pd = phi * d
-        d2 = d * d
-        cubic = LineSearchCubic(
-            c0=hd * float(np.sum((N - fvals) * d)),
-            c1=(
-                1.5 * _quad(plan, dhat, plan.inv_Lambda)
-                + 3.0 * dt * hd * float(np.sum(pd * pd))
-                + visc * _quad(plan, dhat, plan.Lambda_long)
-            ),
-            c2=3.0 * dt * hd * float(np.sum(pd * d2)),
-            c3=dt * hd * float(np.sum(d2 * d2)),
-        )
+        d, sd = op.direction(r)
+        cubic = op.cubic(phi, r, d, sd)
         alpha = cubic.root()
         alphas.append(alpha)
-        phi = phi + alpha * d
+        F += cubic.integral(alpha)
+        d *= alpha
+        phi += d
+        sd *= alpha
+        lin += sd
 
+    tail = ", ".join(f"{v:.3e}" for v in residuals[-4:])
     raise SolverError(
-        f"no convergence in {cfg.max_iter} iterations "
-        f"(last residual {residuals[-1]:.3e}, tolerance {tol:.3e})",
+        f"step {state.step_index + 1} (t={state.t:.6g}, dt={params.dt:.6g}): "
+        f"no convergence in {cfg.max_iter} iterations; last residuals [{tail}], "
+        f"tolerance {tol:.3e}",
         residuals,
     )

@@ -12,9 +12,14 @@ where lap4 is the fourth-order long-stencil Laplacian, the linear "-phi" term
 is extrapolated from the history, and the A-term is a stabilizing correction
 that makes a modified energy non-increasing for A >= 1/16.
 
-Applying the negative inverse Laplacian turns the update into the mean-zero
-critical-point problem  N[phi] = f  with the strictly convex objective
-``objective_F``; the solver lives in :mod:`chfd.psd`.
+Applying the negative inverse Laplacian turns the update into the
+critical-point problem  N[phi] = f  on the mass hyperplane, with
+
+    N[phi] = (-lap4)^{-1}(3/2 phi - 2 phi_k + 1/2 phi_km1)
+             + dt phi^3 - dt (A dt + eps^2) lap4 phi
+
+and f from :func:`assemble_rhs`.  N is the gradient of a strictly convex
+objective; :mod:`chfd.psd` holds both in Fourier form and minimizes it.
 """
 from __future__ import annotations
 
@@ -25,8 +30,8 @@ from typing import Callable, TYPE_CHECKING
 import numpy as np
 
 from .diagnostics import EnergyRecord, energy, modified_energy
-from .grid import Field, GridSpec, field_from_fn, inner_l2, mean, norm_linf
-from .operators import grad_norm_sq_long, laplace_long
+from .grid import Field, GridSpec, field_from_fn, mean
+from .operators import laplace_long
 from .spectral import SpectralPlan, invert_laplace_long
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,13 +51,10 @@ __all__ = [
     "ghost_init",
     "restart_flat",
     "assemble_rhs",
-    "apply_N",
-    "objective_F",
     "step",
 ]
 
-# mean-conservation guardrails (relative to 1 + |beta0|)
-_MEAN_CONTRACT_TOL = 1e-9
+# mean-conservation guardrail (relative to 1 + |beta0|)
 _MASS_DRIFT_TOL = 1e-11
 
 
@@ -250,67 +252,6 @@ def assemble_rhs(
     return Field(state.phi_curr.grid, f)
 
 
-def _check_on_hyperplane(state: StepState, phi: Field) -> None:
-    drift = abs(mean(phi) - state.beta0)
-    if drift > _MEAN_CONTRACT_TOL * (1.0 + abs(state.beta0)):
-        raise ValueError(
-            f"mean(phi) deviates from beta0 by {drift:.3e}; the update operator "
-            "is only defined on the mass hyperplane"
-        )
-
-
-def _n_parts(
-    state: StepState, params: SchemeParams, phi: np.ndarray, plan: SpectralPlan
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values of (N[phi], B, T B) with B the weighted history combination."""
-    B = 1.5 * phi - 2.0 * state.phi_curr.values + 0.5 * state.phi_prev.values
-    grid = state.phi_curr.grid
-    TB = invert_laplace_long(plan, Field(grid, B)).values
-    lap_phi = laplace_long(Field(grid, phi)).values
-    phi3 = phi * phi * phi  # integer-power ufuncs are ~60x slower here
-    N = TB + params.dt * phi3 - params.dt * (params.A * params.dt + params.eps**2) * lap_phi
-    return N, B, TB
-
-
-def apply_N(state: StepState, params: SchemeParams, phi: Field, plan: SpectralPlan) -> Field:
-    """Implicit part of the update:
-
-    N[phi] = (-lap4)^{-1}(3/2 phi - 2 phi_k + 1/2 phi_km1)
-             + dt phi^3 - dt (A dt + eps^2) lap4 phi.
-
-    phi must lie on the mass hyperplane mean(phi) = beta0, otherwise the
-    inverse Laplacian term is undefined.
-    """
-    _check_on_hyperplane(state, phi)
-    N, _, _ = _n_parts(state, params, phi.values, plan)
-    return Field(phi.grid, N)
-
-
-def objective_F(
-    state: StepState, params: SchemeParams, phi: Field, rhs: Field, plan: SpectralPlan
-) -> float:
-    """Strictly convex functional whose hyperplane critical point is the update.
-
-    F[phi] = 1/3 |B|_{-1}^2 + dt/4 |phi|_4^4
-             + dt/2 (A dt + eps^2) |grad4 phi|^2 - (f, phi),
-    with B = 3/2 phi - 2 phi_k + 1/2 phi_km1.  Its directional derivative
-    along mean-zero d is (N[phi] - f, d).
-    """
-    _check_on_hyperplane(state, phi)
-    grid = phi.grid
-    hd = grid.h**grid.dim
-    B = Field(grid, 1.5 * phi.values - 2.0 * state.phi_curr.values + 0.5 * state.phi_prev.values)
-    hm1_sq = max(inner_l2(B, invert_laplace_long(plan, B)), 0.0)
-    dt = params.dt
-    p2 = phi.values * phi.values
-    return float(
-        hm1_sq / 3.0
-        + 0.25 * dt * hd * np.sum(p2 * p2)
-        + 0.5 * dt * (params.A * dt + params.eps**2) * grad_norm_sq_long(phi)
-        - inner_l2(rhs, phi)
-    )
-
-
 def step(
     state: StepState,
     params: SchemeParams,
@@ -331,12 +272,13 @@ def step(
             f"mass drifted to {new_mass!r} (beta0 = {state.beta0!r}) at step {state.step_index + 1}"
         )
     t_new = state.t + params.dt
+    E = energy(phi_new, params.eps)
     record = EnergyRecord(
         step=state.step_index + 1,
         t=t_new,
         mass=new_mass,
-        E=energy(phi_new, params.eps),
-        E_mod=modified_energy(phi_new, state.phi_curr, params.eps, params.dt, plan),
+        E=E,
+        E_mod=modified_energy(phi_new, state.phi_curr, params.eps, params.dt, plan, E=E),
         psd_iters=stats.iterations,
         residual=stats.residuals[-1],
     )

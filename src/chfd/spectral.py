@@ -20,7 +20,7 @@ stored in the rfft layout: the last axis holds modes 0..m//2 only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class SpectralPlan:
     Lambda_long: np.ndarray  # -(sum of per-axis lambda_long); (m//2+1,) or (m, m//2+1)
     inv_Lambda: np.ndarray  # 1/Lambda_long with the zero mode set to 0
     mode_weights: np.ndarray  # Parseval multiplicity of each rfft column (1 or 2)
-    _sigma_cache: dict = field(default_factory=dict, repr=False)
 
 
 def make_plan(grid: GridSpec) -> SpectralPlan:
@@ -138,41 +137,27 @@ def hminus1_norm(plan: SpectralPlan, f: Field) -> float:
     return float(np.sqrt(max(inner_l2(f, u), 0.0)))
 
 
-def _inv_sigma(plan: SpectralPlan, dt: float, eps: float, A: float, power: int) -> np.ndarray:
+def _inv_sigma(plan: SpectralPlan, dt: float, eps: float, A: float) -> np.ndarray:
     """Reciprocal preconditioner symbol 1/sigma, zero at the zero mode.
 
-    sigma(k, l) = 1/Lambda + dt + dt (eps^2 + A dt) Lambda^power, which is the
+    sigma(k, l) = 1/Lambda + dt + dt (eps^2 + A dt) Lambda, which is the
     per-mode linearization scale of the implicit update (positive away from
-    the zero mode).  Cached per (dt, eps, A, power).
+    the zero mode).
     """
-    key = (float(dt), float(eps), float(A), int(power))
-    cached = plan._sigma_cache.get(key)
-    if cached is not None:
-        return cached
-    if power not in (1, 2):
-        raise ValueError(f"precond_power must be 1 or 2, got {power}")
     Lam = plan.Lambda_long
     inv = np.zeros_like(Lam)
     mask = Lam > 0
-    sigma = np.where(mask, plan.inv_Lambda + dt + dt * (eps**2 + A * dt) * Lam**power, 1.0)
+    sigma = np.where(mask, plan.inv_Lambda + dt + dt * (eps**2 + A * dt) * Lam, 1.0)
     np.divide(1.0, sigma, out=inv, where=mask)
-    plan._sigma_cache[key] = inv
     return inv
 
 
-def precondition_solve(
-    plan: SpectralPlan,
-    r: Field,
-    dt: float,
-    eps: float,
-    A: float,
-    precond_power: int = 1,
-) -> Field:
+def precondition_solve(plan: SpectralPlan, r: Field, dt: float, eps: float, A: float) -> Field:
     """Apply the inverse of the constant-coefficient preconditioner to mean-free r."""
     _check_same_grid(plan, r)
     rbar = float(np.mean(r.values))
     if abs(rbar) > 1e-12 * (1.0 + norm_linf(r)):
         raise ValueError(f"preconditioner input must be mean-free, got mean {rbar:.3e}")
     spec = _rfft(plan, r.values)
-    spec *= _inv_sigma(plan, dt, eps, A, precond_power)
+    spec *= _inv_sigma(plan, dt, eps, A)
     return Field(plan.grid, _irfft(plan, spec))

@@ -4,6 +4,11 @@ The stencil oracles here are deliberately written as plain Python loops over
 ``np.roll`` shifts with the coefficient tables restated from scratch, so the
 vectorized operators in the package are checked against an implementation
 that shares no code with them.
+
+The update oracles build N[phi], the objective, the line-search cubic and a
+whole steepest-descent loop from the stencil Laplacian and the spectral
+inverse, one public operator call per term, in the form the update is
+printed in; ``chfd.psd.UpdateOperator`` is checked against them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,17 @@ import math
 import numpy as np
 import pytest
 
-from chfd import Field, GridSpec
+from chfd import (
+    Field,
+    GridSpec,
+    hminus1_norm,
+    inner_l2,
+    invert_laplace_long,
+    laplace_long,
+    norm_l2,
+    precondition_solve,
+)
+from chfd.psd import LineSearchCubic, PsdConfig
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +69,81 @@ def brute_laplace_std(values: np.ndarray, h: float) -> np.ndarray:
 def brute_inner(a: np.ndarray, b: np.ndarray, h: float) -> float:
     """Cell-centered inner product via compensated summation."""
     return h ** a.ndim * math.fsum((a * b).ravel().tolist())
+
+
+# ---------------------------------------------------------------------------
+# update oracles: N[phi] = (-lap4)^{-1} B + dt phi^3 - dt (A dt + eps^2) lap4 phi,
+# B = 3/2 phi - 2 phi_k + 1/2 phi_km1, and its objective F
+
+
+def _history_combination(state, phi: np.ndarray) -> Field:
+    return Field(
+        state.phi_curr.grid,
+        1.5 * phi - 2.0 * state.phi_curr.values + 0.5 * state.phi_prev.values,
+    )
+
+
+def oracle_N(state, params, phi: np.ndarray, plan) -> np.ndarray:
+    grid = state.phi_curr.grid
+    TB = invert_laplace_long(plan, _history_combination(state, phi)).values
+    lap = laplace_long(Field(grid, phi)).values
+    visc = params.dt * (params.A * params.dt + params.eps**2)
+    return TB + params.dt * phi**3 - visc * lap
+
+
+def oracle_F(state, params, phi: np.ndarray, rhs: Field, plan) -> float:
+    """F = 1/3 |B|_{-1}^2 + dt/4 |phi|_4^4 + dt/2 (A dt + eps^2) (phi, -lap4 phi) - (f, phi)."""
+    grid = state.phi_curr.grid
+    f = Field(grid, phi)
+    B = _history_combination(state, phi)
+    visc = params.dt * (params.A * params.dt + params.eps**2)
+    return (
+        inner_l2(B, invert_laplace_long(plan, B)) / 3.0
+        + 0.25 * params.dt * grid.h**grid.dim * float(np.sum(phi**4))
+        + 0.5 * visc * inner_l2(f, Field(grid, -laplace_long(f).values))
+        - inner_l2(rhs, f)
+    )
+
+
+def oracle_residual(state, params, phi: np.ndarray, rhs: Field, plan) -> Field:
+    r = rhs.values - oracle_N(state, params, phi, plan)
+    return Field(rhs.grid, r - r.mean())
+
+
+def oracle_cubic(state, params, phi: np.ndarray, d: Field, rhs: Field, plan) -> LineSearchCubic:
+    """Coefficients of q(alpha) = (N[phi + alpha d] - f, d) for mean-zero d."""
+    grid = state.phi_curr.grid
+    hd = grid.h**grid.dim
+    dt = params.dt
+    visc = dt * (params.A * dt + params.eps**2)
+    dv = d.values
+    gap = Field(grid, oracle_N(state, params, phi, plan) - rhs.values)
+    return LineSearchCubic(
+        c0=inner_l2(gap, d),
+        c1=1.5 * hminus1_norm(plan, d) ** 2
+        + 3.0 * dt * hd * float(np.sum((phi * dv) ** 2))
+        + visc * inner_l2(d, Field(grid, -laplace_long(d).values)),
+        c2=3.0 * dt * hd * float(np.sum(phi * dv**3)),
+        c3=dt * hd * float(np.sum(dv**4)),
+    )
+
+
+def oracle_psd(state, params, rhs: Field, plan, cfg: PsdConfig) -> tuple[np.ndarray, int]:
+    """Steepest descent from the extrapolated guess, built from the oracles above.
+
+    Same stopping rule as ``chfd.psd.solve``; returns (phi, iterations).
+    """
+    phi = 2.0 * state.phi_curr.values - state.phi_prev.values
+    f0 = Field(rhs.grid, rhs.values - rhs.values.mean())
+    tol_abs = cfg.tol_abs if cfg.tol_abs is not None else 1e-15 * (1.0 + norm_l2(rhs))
+    tol = tol_abs + cfg.tol_rel * norm_l2(f0)
+    for it in range(cfg.max_iter + 1):
+        r = oracle_residual(state, params, phi, rhs, plan)
+        if norm_l2(r) <= tol:
+            return phi, it
+        d = precondition_solve(plan, r, params.dt, params.eps, params.A)
+        phi = phi + oracle_cubic(state, params, phi, d, rhs, plan).root() * d.values
+    raise RuntimeError(f"oracle loop did not converge in {cfg.max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import yaml
 from chfd import Field, GridSpec, field_from_fn, mean, norm_linf
 from chfd.cli import (
     ConfigError,
+    _reached,
     load_config,
     main,
     parse_config,
@@ -187,6 +188,12 @@ def test_defaults_are_filled_in():
         {"output": {"formats": ["bmp"]}},
         {"output": {"snapshot_times": ["soon"]}},
         {"mystery": {}},
+        {"solver": {"precond_power": 1}},  # removed knobs are unknown keys
+        {"solver": {"track_objective": True}},
+        {"schedule": [{"dt": 0.03, "t_end": 0.1}]},  # 3.33 steps
+        {"schedule": [{"dt": 0.01, "t_end": 0.05}, {"dt": 0.02, "t_end": 0.1}]},  # 2.5 steps
+        {"output": {"snapshot_times": [0.025]}},  # between steps
+        {"output": {"snapshot_times": [0.06]}},  # after the schedule end
     ],
 )
 def test_bad_configs_rejected(breakage):
@@ -260,6 +267,44 @@ def test_run_resumes_from_snapshot(tmp_path):
     assert result.state.t == pytest.approx(0.05)
     assert result.state.step_index == 3
     assert result.records[0].mass == pytest.approx(mean(phi))
+
+
+def test_schedule_and_snapshots_on_the_step_lattice_pass():
+    cfg = parse_config(base_config(
+        schedule=[{"dt": 0.01, "t_end": 0.05}, {"dt": 0.025, "t_end": 0.1}],
+        output={"snapshot_times": [0.0, 0.03, 0.05, 0.075, 0.1]},
+    ))
+    assert [s.t_end for s in cfg.schedule] == [0.05, 0.1]
+    # 3 x 0.1 is 0.30000000000000004: on the lattice to rounding
+    parse_config(base_config(schedule=[{"dt": 0.1, "t_end": 0.3}],
+                             output={"snapshot_times": [0.3]}))
+
+
+def test_step_times_accumulated_over_a_long_segment_reach_its_end():
+    # configs/spinodal_full.yaml: 200k steps of 0.01 end 1.7e-9 short of t = 2000,
+    # more than an absolute 1e-9 slack, so the t = 2000 snapshot would move a step
+    t = 0.0
+    for _ in range(200_000):
+        t += 0.01
+    assert t != 2000.0
+    assert _reached(2000.0, t)
+    assert not _reached(2000.0 + 0.01, t)
+
+
+def test_warm_start_off_the_step_lattice_rejected(tmp_path):
+    grid = GridSpec(L=3.2, m=16)
+    phi = random_initial_field(grid, 0.0, 0.1, seed=11)
+    warm = tmp_path / "warm.chf"
+    write_snapshot(phi, warm, t=0.015)  # 3.5 steps before t_end = 0.05
+    data = base_config(initial={"kind": "file", "path": str(warm)},
+                       output={"dir": str(tmp_path / "resume")})
+    config = parse_config(data)  # the file's time is only known at run time
+    with pytest.raises(ConfigError, match="whole number"):
+        run_simulation(config, write_outputs=False)
+    write_snapshot(phi, warm, t=0.02)
+    data["output"]["snapshot_times"] = [0.035]
+    with pytest.raises(ConfigError, match="snapshot time"):
+        run_simulation(parse_config(data), write_outputs=False)
 
 
 def test_run_rejects_mismatched_snapshot(tmp_path):

@@ -71,6 +71,8 @@ def test_modified_energy_identity(grid32):
     )
     assert e_mod == pytest.approx(expected, rel=1e-12)
     assert e_mod >= energy(new, eps)
+    # a caller that already has E(new) gets the same value
+    assert modified_energy(new, old, eps, dt, plan, E=energy(new, eps)) == e_mod
 
 
 def test_modified_energy_requires_matching_means(grid32):

@@ -4,7 +4,7 @@ import pytest
 from chfd import (
     Field,
     GridSpec,
-    apply_N,
+    UpdateOperator,
     assemble_rhs,
     field_from_fn,
     ghost_init,
@@ -16,7 +16,6 @@ from chfd import (
     manufactured_source_stencil,
     mean,
     norm_linf,
-    objective_F,
     restart_flat,
     step,
 )
@@ -202,21 +201,20 @@ def test_forced_rhs_adds_inverse_laplacian_of_source():
         assemble_rhs(state, params, plan=None, source=src)
 
 
+def objective_at(op, state, phi, f):
+    return op.start(state, phi, f.values)[1]
+
+
 def test_apply_N_constant_is_dt_c_cubed():
     grid = GridSpec(L=2.0, m=16)
     plan = make_plan(grid)
     c, dt = 0.5, 0.02
     state = flat_state(full(grid, c))
-    N = apply_N(state, SchemeParams(eps=0.1, dt=dt), full(grid, c), plan)
-    assert np.allclose(N.values, dt * c**3, rtol=1e-13, atol=1e-15)
-
-
-def test_apply_N_enforces_mass_hyperplane(grid32):
-    plan = make_plan(grid32)
-    state = flat_state(full(grid32, 0.0))
-    off = full(grid32, 0.1)  # mean 0.1 != beta0 = 0
-    with pytest.raises(ValueError):
-        apply_N(state, SchemeParams(eps=0.1, dt=0.01), off, plan)
+    params = SchemeParams(eps=0.1, dt=dt)
+    op = UpdateOperator(plan, params)
+    phi = full(grid, c).values
+    lin, _ = op.start(state, phi, assemble_rhs(state, params, plan).values)
+    assert np.allclose(op.N(lin, phi), dt * c**3, rtol=1e-13, atol=1e-15)
 
 
 def test_objective_directional_derivative_is_residual():
@@ -239,12 +237,14 @@ def test_objective_directional_derivative_is_residual():
     d_raw = random_field(grid, 33).values
     d = Field(grid, d_raw - np.mean(d_raw))
     alpha = 1e-6
+    op = UpdateOperator(plan, params)
 
     def F_at(a):
-        return objective_F(state, params, Field(grid, phi.values + a * d.values), f, plan)
+        return objective_at(op, state, phi.values + a * d.values, f)
 
     fd = (F_at(alpha) - F_at(-alpha)) / (2 * alpha)
-    residual = Field(grid, apply_N(state, params, phi, plan).values - f.values)
+    lin, _ = op.start(state, phi.values, f.values)
+    residual = Field(grid, op.N(lin, phi.values) - f.values)
     assert fd == pytest.approx(inner_l2(residual, d), rel=1e-6, abs=1e-10)
 
 
@@ -258,9 +258,8 @@ def test_objective_is_convex_along_mean_zero_lines():
     d_raw = random_field(grid, 42).values
     d = d_raw - np.mean(d_raw)
     alphas = np.linspace(-2.0, 2.0, 21)
-    vals = [
-        objective_F(state, params, Field(grid, phi.values + a * d), f, plan) for a in alphas
-    ]
+    op = UpdateOperator(plan, params)
+    vals = [objective_at(op, state, phi.values + a * d, f) for a in alphas]
     second = np.diff(vals, 2)
     assert np.all(second > 0)
 
