@@ -43,6 +43,7 @@ from .scheme import (
 )
 from .spectral import make_plan
 from .verification import (
+    TRUNCATION_CASES,
     convergence_study,
     inequality_study,
     symbol_bound_study,
@@ -149,9 +150,14 @@ def _check_lattice(
 
     Each segment must hold a whole number of its steps, counted from t0 or
     from the end of the segment before it; segments that end by t0 (a warm
-    start) are skipped.  A snapshot time must be at or before t0, or a step
-    time no later than the schedule end.
+    start) are skipped.  A snapshot time must be t0 itself, or a step time
+    after it no later than the schedule end.
     """
+    early = [s for s in snapshot_times if not _reached(t0, s)]
+    if early:
+        raise ConfigError(
+            f"snapshot time(s) {', '.join(map(repr, early))} before the start time {t0!r}"
+        )
     t_start = t0
     snaps = sorted(s for s in snapshot_times if not _reached(s, t0))
     for i, seg in enumerate(schedule):
@@ -242,7 +248,7 @@ def parse_config(data: dict) -> RunConfig:
         path=path,
     )
 
-    solver_sec = _section(data, "solver", {"tol_rel", "tol_abs", "max_iter", "init_guess"})
+    solver_sec = _section(data, "solver", {"tol_rel", "tol_abs", "max_iter"})
     try:
         solver = PsdConfig(**solver_sec)
     except (TypeError, ValueError) as exc:
@@ -322,7 +328,7 @@ class RunResult:
     records: list[EnergyRecord]
     state: StepState
     solve_stats: list[SolveStats]
-    snapshots: list[tuple[float, float]]  # (requested time, actual time)
+    snapshots: list[float]  # step times of the snapshots written
     manufactured_errors: tuple[float, float] | None = None  # (linf, l2)
 
 
@@ -376,18 +382,18 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
 
     out_dir = Path(config.output.dir)
     csv_writer = None
-    snap_index = 0
     pending_snaps = list(config.output.snapshot_times)
-    taken_snaps: list[tuple[float, float]] = []
+    taken_snaps: list[float] = []
 
-    def take_snapshot(requested: float, actual_t: float, phi: Field) -> None:
-        nonlocal snap_index
-        if write_outputs:
-            for fmt in config.output.formats:
-                name = f"snap_{snap_index:03d}.{fmt}"
-                write_snapshot(phi, out_dir / name, actual_t, format=fmt)
-        taken_snaps.append((requested, actual_t))
-        snap_index += 1
+    def take_snapshots(t: float, phi: Field) -> None:
+        """Write phi once for each pending snapshot time that t has reached."""
+        while pending_snaps and _reached(pending_snaps[0], t):
+            pending_snaps.pop(0)
+            if write_outputs:
+                for fmt in config.output.formats:
+                    name = f"snap_{len(taken_snaps):03d}.{fmt}"
+                    write_snapshot(phi, out_dir / name, t, format=fmt)
+            taken_snaps.append(t)
 
     try:
         if write_outputs:
@@ -396,13 +402,13 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
                 yaml.safe_dump(_config_echo(config), fh, sort_keys=True)
             csv_writer = EnergyCsvWriter(out_dir / "energy.csv")
 
-        E0 = energy(state.phi_curr, config.eps)
+        E0 = energy(state.phi_curr, config.eps, plan)
         rec0 = EnergyRecord(
             step=0,
             t=state.t,
             mass=mean(state.phi_curr),
             E=E0,
-            E_mod=modified_energy(state.phi_curr, state.phi_prev, config.eps,
+            E_mod=modified_energy(state.phi_curr, state.phi_prev,
                                   config.schedule[0].dt, plan, E=E0),
             psd_iters=0,
             residual=0.0,
@@ -410,8 +416,7 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
         records = [rec0]
         if csv_writer:
             csv_writer.write(rec0)
-        while pending_snaps and _reached(pending_snaps[0], state.t):
-            take_snapshot(pending_snaps.pop(0), state.t, state.phi_curr)
+        take_snapshots(state.t, state.phi_curr)
 
         solve_stats: list[SolveStats] = []
         global_step = 0
@@ -435,8 +440,7 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
                     global_step % config.output.energy_every == 0 or is_last
                 ):
                     csv_writer.write(record)
-                while pending_snaps and _reached(pending_snaps[0], state.t):
-                    take_snapshot(pending_snaps.pop(0), state.t, state.phi_curr)
+                take_snapshots(state.t, state.phi_curr)
     finally:
         if csv_writer:
             csv_writer.close()
@@ -509,7 +513,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures: list[str] = []
 
     if args.target in ("truncation", "all"):
-        for case in ("mode_product", "exp_sin"):
+        for case in TRUNCATION_CASES:
             report = truncation_study(case, m_list=(32, 64, 128, 256), L=1.0)
             (out_dir / f"truncation_{case}.csv").write_text(report.to_csv(), encoding="ascii")
             rates = [r for pair in report.finest_rates(2) for r in pair]

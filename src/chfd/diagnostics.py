@@ -5,8 +5,10 @@ The free energy of a field on the discrete grid is
     E(phi) = sum h^2 [ 1/4 (phi^2 - 1)^2 ] + eps^2/2 * |grad4 phi|^2,
 
 which is the quadrature of the double-well density plus the gradient energy
-of the fourth-order operator; both pieces are nonnegative.  The time stepper
-dissipates the modified energy
+of the fourth-order operator; both pieces are nonnegative.  The gradient
+energy is the quadratic form (phi, -lap4 phi), evaluated from the Fourier
+spectrum of phi as the sum of Lambda |phi^|^2 (Lambda the symbol of -lap4,
+see :mod:`chfd.spectral`).  The time stepper dissipates the modified energy
 
     E_mod(phi_new, phi_old) = E(phi_new) + 1/(4 dt) |phi_new - phi_old|_{-1}^2
                               + 1/2 |phi_new - phi_old|_2^2
@@ -21,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .grid import Field, mean
-from .operators import grad_norm_sq_long
 from .spectral import SpectralPlan, _quad, _rfft
 
 __all__ = ["EnergyRecord", "energy", "modified_energy", "fit_power_law"]
@@ -40,27 +41,26 @@ class EnergyRecord:
     residual: float
 
 
-def energy(phi: Field, eps: float) -> float:
+def energy(phi: Field, eps: float, plan: SpectralPlan) -> float:
     """Free energy; nonnegative by construction."""
     grid = phi.grid
     hd = grid.h**grid.dim
     well = 0.25 * hd * float(np.sum((phi.values**2 - 1.0) ** 2))
-    return well + 0.5 * eps**2 * grad_norm_sq_long(phi)
+    return well + 0.5 * eps**2 * _quad(plan, _rfft(plan, phi.values), plan.Lambda_long)
 
 
 def modified_energy(
     phi_new: Field,
     phi_old: Field,
-    eps: float,
     dt: float,
     plan: SpectralPlan,
-    E: float | None = None,
+    E: float,
 ) -> float:
     """Dissipated Lyapunov functional of the two-step scheme.
 
+    ``E`` is ``energy(phi_new, eps, plan)``, which every caller already has.
     Requires mean(phi_new) = mean(phi_old) so the increment has a well-defined
-    H^{-1} norm.  ``E`` is ``energy(phi_new, eps)`` when the caller already
-    has it.
+    H^{-1} norm.
     """
     m_new, m_old = mean(phi_new), mean(phi_old)
     if abs(m_new - m_old) > 1e-9 * (1.0 + abs(m_old)):
@@ -69,8 +69,6 @@ def modified_energy(
     diff = phi_new.values - phi_old.values
     hm1_sq = _quad(plan, _rfft(plan, diff), plan.inv_Lambda)
     l2_sq = grid.h**grid.dim * float(np.sum(diff * diff))
-    if E is None:
-        E = energy(phi_new, eps)
     return E + hm1_sq / (4.0 * dt) + 0.5 * l2_sq
 
 

@@ -1,28 +1,23 @@
-"""Periodic finite-difference stencils.
+"""Periodic finite-difference stencils, applied by array shifts.
 
 Second derivative, three-point:   (f[i-1] - 2 f[i] + f[i+1]) / h^2
 Second derivative, five-point:    (-f[i-2] + 16 f[i-1] - 30 f[i] + 16 f[i+1] - f[i+2]) / (12 h^2)
 First derivative, five-point:     (f[i-2] - 8 f[i-1] + 8 f[i+1] - f[i+2]) / (12 h)
 
 The five-point (long-stencil) forms are fourth-order accurate; the Laplacians
-are the per-axis sums of the one-dimensional operators.  Weights are stored as
-exact integers over a common denominator so cancellation identities (weights
-summing to zero, antisymmetry) hold exactly in floating point.
+are the per-axis sums of the one-dimensional operators.  The time stepper
+applies these operators through their Fourier symbols (:mod:`chfd.spectral`);
+this module is the independent stencil implementation that the spectral path
+is checked against, that ``chfd verify`` measures, and that builds the
+verification forcing :func:`chfd.scheme.manufactured_source_stencil`.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Field
 
 __all__ = [
-    "StencilCoeffs",
-    "D1_LONG",
-    "D2_LONG",
-    "D2_STD",
-    "apply_stencil",
     "d1_long",
     "d2_long",
     "laplace_long",
@@ -33,101 +28,74 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StencilCoeffs:
-    """Integer weights over a common denominator; true weight = weights/(denom * h^order)."""
-
-    offsets: tuple[int, ...]
-    weights: tuple[float, ...]
-    denom: float
-    order: int  # power of h in the denominator
-
-    @property
-    def span(self) -> int:
-        return max(abs(o) for o in self.offsets)
-
-
-D1_LONG = StencilCoeffs(offsets=(-2, -1, 1, 2), weights=(1.0, -8.0, 8.0, -1.0), denom=12.0, order=1)
-D2_LONG = StencilCoeffs(
-    offsets=(-2, -1, 0, 1, 2), weights=(-1.0, 16.0, -30.0, 16.0, -1.0), denom=12.0, order=2
-)
-D2_STD = StencilCoeffs(offsets=(-1, 0, 1), weights=(1.0, -2.0, 1.0), denom=1.0, order=2)
-
-
-def _apply(values: np.ndarray, coeffs: StencilCoeffs, axis: int, h: float) -> np.ndarray:
-    # np.roll(v, -off) aligns v[i + off] with position i (periodic wrap).
-    # Mirror offsets are combined before multiplying so that the symmetric
-    # (w(-o) = w(o)) and antisymmetric (w(-o) = -w(o)) cancellations happen
-    # between exact values: constants are then annihilated exactly.
-    acc: np.ndarray | None = None
-    seen: set[int] = set()
-    for off, w in zip(coeffs.offsets, coeffs.weights):
-        if off in seen:
-            continue
-        if off == 0:
-            term = w * values
-        else:
-            fwd = np.roll(values, -off, axis=axis)
-            if -off in coeffs.offsets:
-                seen.add(-off)
-                w_mirror = coeffs.weights[coeffs.offsets.index(-off)]
-                bwd = np.roll(values, off, axis=axis)
-                if w_mirror == w:
-                    term = w * (fwd + bwd)
-                elif w_mirror == -w:
-                    term = w * (fwd - bwd)
-                else:
-                    term = w * fwd + w_mirror * bwd
-            else:
-                term = w * fwd
-        acc = term if acc is None else acc + term
-    assert acc is not None
-    return acc / (coeffs.denom * h**coeffs.order)
-
-
-def _check_width(f: Field, coeffs: StencilCoeffs, axis: int) -> None:
+def _check(f: Field, half_width: int, axis: int = 0) -> None:
     if axis >= f.grid.dim:
         raise ValueError(f"axis {axis} out of range for dim={f.grid.dim}")
-    need = 2 * coeffs.span + 1
+    need = 2 * half_width + 1
     if f.grid.m < need:
         raise ValueError(f"stencil needs m >= {need}, grid has m={f.grid.m}")
 
 
-def apply_stencil(f: Field, coeffs: StencilCoeffs, axis: int = 0) -> Field:
-    _check_width(f, coeffs, axis)
-    return Field(f.grid, _apply(f.values, coeffs, axis, f.grid.h))
+def _pair(v: np.ndarray, k: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v[i - k], v[i + k]) at position i, with periodic wrap."""
+    return np.roll(v, k, axis=axis), np.roll(v, -k, axis=axis)
+
+
+# Mirror neighbours are combined before weighting, so the symmetric and
+# antisymmetric cancellations happen between exact values: constants are then
+# annihilated exactly.
+
+
+def _d1_long(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+    m2, p2 = _pair(v, 2, axis)
+    m1, p1 = _pair(v, 1, axis)
+    return ((m2 - p2) - 8.0 * (m1 - p1)) / (12.0 * h)
+
+
+def _d2_long(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+    m2, p2 = _pair(v, 2, axis)
+    m1, p1 = _pair(v, 1, axis)
+    return (-(m2 + p2) + 16.0 * (m1 + p1) + -30.0 * v) / (12.0 * h**2)
+
+
+def _d2_std(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+    m1, p1 = _pair(v, 1, axis)
+    return ((m1 + p1) + -2.0 * v) / h**2
 
 
 def d1_long(f: Field, axis: int = 0) -> Field:
     """Fourth-order first derivative along ``axis``."""
-    return apply_stencil(f, D1_LONG, axis)
+    _check(f, 2, axis)
+    return Field(f.grid, _d1_long(f.values, f.grid.h, axis))
 
 
 def d2_long(f: Field, axis: int = 0) -> Field:
     """Fourth-order second derivative along ``axis``."""
-    return apply_stencil(f, D2_LONG, axis)
+    _check(f, 2, axis)
+    return Field(f.grid, _d2_long(f.values, f.grid.h, axis))
 
 
 def d2_std(f: Field, axis: int = 0) -> Field:
     """Second-order second derivative along ``axis``."""
-    return apply_stencil(f, D2_STD, axis)
+    _check(f, 1, axis)
+    return Field(f.grid, _d2_std(f.values, f.grid.h, axis))
 
 
 def laplace_long(f: Field) -> Field:
     """Fourth-order Laplacian: sum of the one-dimensional five-point operators."""
-    _check_width(f, D2_LONG, 0)
-    out = _apply(f.values, D2_LONG, 0, f.grid.h)
+    _check(f, 2)
+    out = _d2_long(f.values, f.grid.h, 0)
     for ax in range(1, f.grid.dim):
-        out += _apply(f.values, D2_LONG, ax, f.grid.h)
+        out += _d2_long(f.values, f.grid.h, ax)
     return Field(f.grid, out)
 
 
 def laplace_std(f: Field) -> Field:
     """Second-order Laplacian (per-axis three-point sums)."""
-    _check_width(f, D2_STD, 0)
-    out = _apply(f.values, D2_STD, 0, f.grid.h)
+    _check(f, 1)
+    out = _d2_std(f.values, f.grid.h, 0)
     for ax in range(1, f.grid.dim):
-        out += _apply(f.values, D2_STD, ax, f.grid.h)
+        out += _d2_std(f.values, f.grid.h, ax)
     return Field(f.grid, out)
 
 
@@ -157,6 +125,6 @@ def grad_norm_sq_long(f: Field) -> float:
     h = f.grid.h
     total = grad_norm_sq_std(f)
     for ax in range(f.grid.dim):
-        d2 = _apply(f.values, D2_STD, ax, h)
+        d2 = _d2_std(f.values, h, ax)
         total += float((h**2 / 12.0) * h**f.grid.dim * np.sum(d2 * d2))
     return total

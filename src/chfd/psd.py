@@ -23,7 +23,7 @@ and then advanced by the exact increment of each line search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,11 +60,8 @@ class PsdConfig:
     # convergence study long before the scheme's own accuracy limit.
     tol_abs: float | None = None
     max_iter: int = 200
-    init_guess: str = "extrapolated"  # or "previous"
 
     def __post_init__(self) -> None:
-        if self.init_guess not in ("extrapolated", "previous"):
-            raise ValueError(f"unknown init_guess {self.init_guess!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -75,8 +72,7 @@ class SolveStats:
 
     iterations: int
     residuals: list[float]
-    alphas: list[float] = field(default_factory=list)
-    objectives: list[float] = field(default_factory=list)
+    objectives: list[float]
 
     @property
     def residual_ratios(self) -> list[float]:
@@ -235,7 +231,8 @@ def solve(
 ) -> tuple[Field, SolveStats]:
     """Minimize the update objective on the mass hyperplane.
 
-    Stops when |P0(f - N[phi])|_2 <= tol_abs + tol_rel * |P0 f|_2.  Raises
+    Starts from the extrapolation 2 phi_k - phi_km1 and stops when
+    |P0(f - N[phi])|_2 <= tol_abs + tol_rel * |P0 f|_2.  Raises
     :class:`SolverError` (carrying the residual history) on non-convergence.
     """
     if cfg is None:
@@ -246,10 +243,7 @@ def solve(
     op = UpdateOperator(plan, params)
     hd = op.hd
 
-    if cfg.init_guess == "extrapolated":
-        phi = 2.0 * state.phi_curr.values - state.phi_prev.values
-    else:
-        phi = state.phi_curr.values.copy()
+    phi = 2.0 * state.phi_curr.values - state.phi_prev.values
 
     fvals = rhs.values
     f0 = fvals - fvals.mean()
@@ -258,7 +252,6 @@ def solve(
 
     lin, F = op.start(state, phi, fvals)
     residuals: list[float] = []
-    alphas: list[float] = []
     objectives: list[float] = []
 
     for it in range(cfg.max_iter + 1):
@@ -269,13 +262,12 @@ def solve(
         residuals.append(rnorm)
         objectives.append(F)
         if rnorm <= tol:
-            return Field(grid, phi), SolveStats(it, residuals, alphas, objectives)
+            return Field(grid, phi), SolveStats(it, residuals, objectives)
         if it == cfg.max_iter:
             break
         d, sd = op.direction(r)
         cubic = op.cubic(phi, r, d, sd)
         alpha = cubic.root()
-        alphas.append(alpha)
         F += cubic.integral(alpha)
         d *= alpha
         phi += d

@@ -20,6 +20,16 @@ critical-point problem  N[phi] = f  on the mass hyperplane, with
 
 and f from :func:`assemble_rhs`.  N is the gradient of a strictly convex
 objective; :mod:`chfd.psd` holds both in Fourier form and minimizes it.
+
+lap4 is diagonal in the discrete Fourier basis with symbol -Lambda
+(:mod:`chfd.spectral`), and the stepper applies it only that way.  In that
+form the right-hand side is
+
+    f = dt (2 phi_k - phi_km1) + IFFT[ A dt^2 Lambda phi_k^ + dt S^ / Lambda ],
+
+with the zero mode of the bracket set to 0.  The stencil operators of
+:mod:`chfd.operators` build only the verification forcing
+:func:`manufactured_source_stencil`.
 """
 from __future__ import annotations
 
@@ -32,7 +42,14 @@ import numpy as np
 from .diagnostics import EnergyRecord, energy, modified_energy
 from .grid import Field, GridSpec, field_from_fn, mean
 from .operators import laplace_long
-from .spectral import SpectralPlan, invert_laplace_long
+from .spectral import (
+    SpectralPlan,
+    _check_same_grid,
+    _irfft,
+    _rfft,
+    laplace_long_spectral,
+    make_plan,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .psd import PsdConfig, SolveStats
@@ -204,9 +221,10 @@ def ghost_init(phi0: Field, params: SchemeParams, source: SourceSpec | None = No
     which keeps the overall accuracy at second order in dt.
     """
     _require_dim2(phi0)
+    plan = make_plan(phi0.grid)
     p0 = phi0.values
-    mu0 = p0 * p0 * p0 - p0 - params.eps**2 * laplace_long(phi0).values
-    rate = laplace_long(Field(phi0.grid, mu0)).values
+    mu0 = p0 * p0 * p0 - p0 - params.eps**2 * laplace_long_spectral(plan, phi0).values
+    rate = laplace_long_spectral(plan, Field(phi0.grid, mu0)).values
     if source is not None:
         rate = rate + sample_source(source, phi0.grid, 0.0).values
     phi_m1 = Field(phi0.grid, phi0.values - params.dt * rate)
@@ -228,7 +246,7 @@ def restart_flat(phi0: Field, t: float = 0.0, beta0: float | None = None) -> Ste
 def assemble_rhs(
     state: StepState,
     params: SchemeParams,
-    plan: SpectralPlan | None = None,
+    plan: SpectralPlan,
     source: SourceSpec | None = None,
 ) -> Field:
     """Explicit right-hand side of the critical-point problem N[phi] = f.
@@ -236,20 +254,22 @@ def assemble_rhs(
     f = 2 dt phi_k - dt phi_km1 - A dt^2 lap4 phi_k, plus
     dt * (-lap4)^{-1} S(t_{k+1}) when a source is present (the whole update
     equation is mapped through the negative inverse Laplacian, so the source
-    enters through it as well).
+    enters through it as well).  Both lap4 terms come from one transform pair.
     """
+    _check_same_grid(plan, state.phi_curr)
+    grid = plan.grid
     dt, A = params.dt, params.A
-    f = (
-        2.0 * dt * state.phi_curr.values
-        - dt * state.phi_prev.values
-        - A * dt**2 * laplace_long(state.phi_curr).values
-    )
-    if source is not None:
-        if plan is None:
-            raise ValueError("a spectral plan is required to assemble a forced right-hand side")
-        svals = sample_source(source, state.phi_curr.grid, state.t + dt)
-        f = f + dt * invert_laplace_long(plan, svals).values
-    return Field(state.phi_curr.grid, f)
+    phi_k = state.phi_curr.values
+    f = 2.0 * dt * phi_k - dt * state.phi_prev.values
+    if source is None:
+        spec = _rfft(plan, phi_k)
+        spec *= A * dt**2 * plan.Lambda_long
+    else:
+        svals = sample_source(source, grid, state.t + dt).values
+        phi_hat, s_hat = _rfft(plan, np.stack((phi_k, svals)))
+        spec = A * dt**2 * plan.Lambda_long * phi_hat + dt * plan.inv_Lambda * s_hat
+    f += _irfft(plan, spec)
+    return Field(grid, f)
 
 
 def step(
@@ -272,13 +292,13 @@ def step(
             f"mass drifted to {new_mass!r} (beta0 = {state.beta0!r}) at step {state.step_index + 1}"
         )
     t_new = state.t + params.dt
-    E = energy(phi_new, params.eps)
+    E = energy(phi_new, params.eps, plan)
     record = EnergyRecord(
         step=state.step_index + 1,
         t=t_new,
         mass=new_mass,
         E=E,
-        E_mod=modified_energy(phi_new, state.phi_curr, params.eps, params.dt, plan, E=E),
+        E_mod=modified_energy(phi_new, state.phi_curr, params.dt, plan, E=E),
         psd_iters=stats.iterations,
         residual=stats.residuals[-1],
     )

@@ -114,16 +114,15 @@ def laplace_long_spectral(plan: SpectralPlan, f: Field) -> Field:
     return Field(plan.grid, _irfft(plan, spec))
 
 
-def invert_laplace_long(plan: SpectralPlan, g: Field, tol_mean: float | None = None) -> Field:
+def invert_laplace_long(plan: SpectralPlan, g: Field) -> Field:
     """Solve  -laplace_long(u) = g - mean(g)  for the unique mean-zero u.
 
-    ``g`` must already be (numerically) mean-free: the default acceptance is
+    ``g`` must already be (numerically) mean-free:
     |mean(g)| <= 1e-12 * (1 + max|g|).
     """
     _check_same_grid(plan, g)
     gbar = float(np.mean(g.values))
-    if tol_mean is None:
-        tol_mean = 1e-12 * (1.0 + norm_linf(g))
+    tol_mean = 1e-12 * (1.0 + norm_linf(g))
     if abs(gbar) > tol_mean:
         raise ValueError(f"mean(g) = {gbar:.3e} exceeds solvability tolerance {tol_mean:.3e}")
     spec = _rfft(plan, g.values)

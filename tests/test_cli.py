@@ -18,7 +18,7 @@ from chfd.io import (
     write_snapshot,
 )
 from chfd.rng import random_initial_field, splitmix64, unit_floats
-from chfd.verification import convergence_study
+from chfd.verification import TRUNCATION_CASES, convergence_study
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +183,18 @@ def test_defaults_are_filled_in():
         {"initial": {"kind": "file"}},  # path required
         {"initial": {"path": "x.chf"}},  # path without kind: file
         {"solver": {"tool_rel": 1e-9}},  # typo key
-        {"solver": {"init_guess": "warm"}},
+        {"solver": {"init_guess": "previous"}},  # removed knobs are unknown keys
         {"output": {"energy_every": 0}},
         {"output": {"formats": ["bmp"]}},
         {"output": {"snapshot_times": ["soon"]}},
         {"mystery": {}},
-        {"solver": {"precond_power": 1}},  # removed knobs are unknown keys
+        {"solver": {"precond_power": 1}},
         {"solver": {"track_objective": True}},
         {"schedule": [{"dt": 0.03, "t_end": 0.1}]},  # 3.33 steps
         {"schedule": [{"dt": 0.01, "t_end": 0.05}, {"dt": 0.02, "t_end": 0.1}]},  # 2.5 steps
         {"output": {"snapshot_times": [0.025]}},  # between steps
         {"output": {"snapshot_times": [0.06]}},  # after the schedule end
+        {"output": {"snapshot_times": [-1.0]}},  # before the start
     ],
 )
 def test_bad_configs_rejected(breakage):
@@ -260,13 +261,15 @@ def test_run_resumes_from_snapshot(tmp_path):
     warm = tmp_path / "warm.chf"
     write_snapshot(phi, warm, t=0.02)
     data = base_config(initial={"kind": "file", "path": str(warm)},
-                       output={"dir": str(tmp_path / "resume")})
+                       output={"dir": str(tmp_path / "resume"), "snapshot_times": [0.02, 0.04]})
     result = run_simulation(parse_config(data))
     # three steps carry t from 0.02 to the schedule end at 0.05
     assert result.records[0].t == pytest.approx(0.02)
     assert result.state.t == pytest.approx(0.05)
     assert result.state.step_index == 3
     assert result.records[0].mass == pytest.approx(mean(phi))
+    assert result.snapshots == [0.02, pytest.approx(0.04)]
+    assert read_snapshot(tmp_path / "resume" / "snap_001.chf")[1] == result.snapshots[1]
 
 
 def test_schedule_and_snapshots_on_the_step_lattice_pass():
@@ -304,6 +307,9 @@ def test_warm_start_off_the_step_lattice_rejected(tmp_path):
     write_snapshot(phi, warm, t=0.02)
     data["output"]["snapshot_times"] = [0.035]
     with pytest.raises(ConfigError, match="snapshot time"):
+        run_simulation(parse_config(data), write_outputs=False)
+    data["output"]["snapshot_times"] = [0.01, 0.03]  # 0.01 is before the file's t = 0.02
+    with pytest.raises(ConfigError, match="before the start time"):
         run_simulation(parse_config(data), write_outputs=False)
 
 
@@ -353,6 +359,11 @@ def test_verify_subcommand_writes_reports(tmp_path, capsys):
     assert (tmp_path / "v" / "symbol_bound.csv").exists()
     out = capsys.readouterr().out
     assert "[ok]" in out
+    # every built-in truncation case is measured and gated
+    assert main(["verify", "truncation", "--out", str(tmp_path / "v")]) == 0
+    for case in TRUNCATION_CASES:
+        assert (tmp_path / "v" / f"truncation_{case}.csv").exists()
+    assert capsys.readouterr().out.count("[ok]") == len(TRUNCATION_CASES)
 
 
 def test_converge_subcommand_csv(tmp_path, capsys):

@@ -24,7 +24,7 @@ from conftest import brute_inner, random_field
 def test_energy_of_pure_phase_is_zero():
     grid = GridSpec(L=2.0, m=16)
     for c in (-1.0, 1.0):
-        assert energy(full(grid, c), eps=0.1) == 0.0
+        assert energy(full(grid, c), 0.1, make_plan(grid)) == 0.0
 
 
 def test_energy_of_constant_is_well_density_times_area():
@@ -32,15 +32,17 @@ def test_energy_of_constant_is_well_density_times_area():
     c = 0.5
     # E = L^2 * (c^2 - 1)^2 / 4, no gradient part
     expected = grid.L**2 * (c * c - 1.0) ** 2 / 4.0
-    assert energy(full(grid, c), eps=0.3) == pytest.approx(expected, rel=1e-13)
+    assert energy(full(grid, c), 0.3, make_plan(grid)) == pytest.approx(expected, rel=1e-13)
 
 
-def test_energy_matches_handwritten_sum(grid32):
-    phi = random_field(grid32, seed=60, scale=0.5)
+@pytest.mark.parametrize("m", [16, 17, 32])  # odd m: the rfft layout has no Nyquist column
+def test_energy_matches_handwritten_sum(m):
+    grid = GridSpec(L=3.2, m=m)
+    phi = random_field(grid, seed=60, scale=0.5)
     eps = 0.07
-    well = 0.25 * brute_inner(phi.values**2 - 1.0, phi.values**2 - 1.0, grid32.h)
+    well = 0.25 * brute_inner(phi.values**2 - 1.0, phi.values**2 - 1.0, grid.h)
     expected = well + 0.5 * eps**2 * grad_norm_sq_long(phi)
-    assert energy(phi, eps) == pytest.approx(expected, rel=1e-12)
+    assert energy(phi, eps, make_plan(grid)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_energy_gradient_part_single_mode():
@@ -50,7 +52,7 @@ def test_energy_gradient_part_single_mode():
     a = 2 * np.pi / grid.L
     phi = field_from_fn(grid, lambda x, y: np.sin(a * x) + 0.0 * y)
     eps = 0.25
-    e = energy(phi, eps)
+    e = energy(phi, eps, make_plan(grid))
     well = 0.25 * grid.h**2 * float(np.sum((phi.values**2 - 1) ** 2))
     grad_expected = 0.5 * eps**2 * a**2 * norm_l2(phi) ** 2
     assert e - well == pytest.approx(grad_expected, rel=1e-5)
@@ -62,17 +64,12 @@ def test_modified_energy_identity(grid32):
     old = random_field(grid32, seed=61, scale=0.2)
     new = Field(grid32, old.values + (lambda d: d - d.mean())(
         0.01 * random_field(grid32, seed=62).values))
-    e_mod = modified_energy(new, old, eps, dt, plan)
+    E = energy(new, eps, plan)
+    e_mod = modified_energy(new, old, dt, plan, E=E)
     diff = Field(grid32, new.values - old.values)
-    expected = (
-        energy(new, eps)
-        + hminus1_norm(plan, diff) ** 2 / (4 * dt)
-        + 0.5 * norm_l2(diff) ** 2
-    )
+    expected = E + hminus1_norm(plan, diff) ** 2 / (4 * dt) + 0.5 * norm_l2(diff) ** 2
     assert e_mod == pytest.approx(expected, rel=1e-12)
-    assert e_mod >= energy(new, eps)
-    # a caller that already has E(new) gets the same value
-    assert modified_energy(new, old, eps, dt, plan, E=energy(new, eps)) == e_mod
+    assert e_mod >= E
 
 
 def test_modified_energy_requires_matching_means(grid32):
@@ -80,13 +77,14 @@ def test_modified_energy_requires_matching_means(grid32):
     a = full(grid32, 0.0)
     b = full(grid32, 0.1)
     with pytest.raises(ValueError):
-        modified_energy(a, b, 0.1, 0.01, plan)
+        modified_energy(a, b, 0.01, plan, E=0.0)
 
 
 def test_modified_energy_of_stationary_pair_is_plain_energy(grid32):
     plan = make_plan(grid32)
     phi = random_field(grid32, seed=63, scale=0.3)
-    assert modified_energy(phi, phi, 0.1, 0.01, plan) == energy(phi, 0.1)
+    E = energy(phi, 0.1, plan)
+    assert modified_energy(phi, phi, 0.01, plan, E=E) == E
 
 
 # ---------------------------------------------------------------------------

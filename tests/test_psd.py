@@ -238,15 +238,6 @@ def test_residuals_decay_geometrically(problem):
     assert all(rt < 1.0 for rt in ratios)
 
 
-def test_both_init_guesses_agree(problem):
-    grid, plan, params, state, rhs = problem
-    tight = dict(tol_rel=1e-13)
-    a, stats_a = solve(state, params, rhs, plan, PsdConfig(init_guess="extrapolated", **tight))
-    b, stats_b = solve(state, params, rhs, plan, PsdConfig(init_guess="previous", **tight))
-    assert np.max(np.abs(a.values - b.values)) < 1e-9
-    assert stats_a.iterations >= 1 and stats_b.iterations >= 1
-
-
 def test_iteration_budget_exhaustion_raises(problem):
     grid, plan, params, state, rhs = problem
     with pytest.raises(SolverError) as err:
@@ -267,8 +258,6 @@ def test_solver_error_names_step_time_and_residuals(problem):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PsdConfig(init_guess="warm")
     with pytest.raises(ValueError):
         PsdConfig(max_iter=0)
 
