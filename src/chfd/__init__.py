@@ -37,7 +37,6 @@ from .spectral import (
 )
 from .scheme import (
     SchemeParams,
-    SourceSpec,
     StepState,
     assemble_rhs,
     ghost_init,
@@ -75,7 +74,6 @@ __all__ = [
     "make_plan",
     "precondition_solve",
     "SchemeParams",
-    "SourceSpec",
     "StepState",
     "assemble_rhs",
     "ghost_init",

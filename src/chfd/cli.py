@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .scheme import (
     MassDriftError,
     NonFiniteStateError,
     SchemeParams,
-    SourceSpec,
+    Source,
     StepState,
     ghost_init,
     manufactured_solution,
@@ -186,8 +187,18 @@ def _check_lattice(
 
 def _number(sec: dict, section: str, key: str, default=None):
     val = sec.get(key, default)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"'{section}.{key}' must be a number, got {val!r}")
+    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+        raise ConfigError(f"'{section}.{key}' must be a finite number, got {val!r}")
+    return val
+
+
+def _integer(sec: dict, section: str, key: str, default=None, minimum: int | None = None) -> int:
+    val = sec.get(key, default)
+    if not isinstance(val, int) or isinstance(val, bool) or (
+        minimum is not None and val < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"'{section}.{key}' must be an integer{bound}, got {val!r}")
     return val
 
 
@@ -199,14 +210,16 @@ def parse_config(data: dict) -> RunConfig:
 
     domain = _section(data, "domain", {"L"})
     L = float(_number(domain, "domain", "L", 12.8))
+    if L <= 0:
+        raise ConfigError(f"'domain.L' must be positive, got {L!r}")
 
     grid_sec = _section(data, "grid", {"m"}, required={"m"})
-    m = _number(grid_sec, "grid", "m")
-    if not isinstance(m, int) or m < 5:
-        raise ConfigError(f"'grid.m' must be an integer >= 5, got {m!r}")
+    m = _integer(grid_sec, "grid", "m", minimum=5)
 
     physics = _section(data, "physics", {"eps", "A"})
     eps = float(_number(physics, "physics", "eps", 0.05))
+    if eps <= 0:
+        raise ConfigError(f"'physics.eps' must be positive, got {eps!r}")
     A = float(_number(physics, "physics", "A", 1.0 / 16.0))
 
     raw_schedule = data.pop("schedule", None)
@@ -232,9 +245,7 @@ def parse_config(data: dict) -> RunConfig:
     amplitude = float(_number(init_sec, "initial", "amplitude", 0.1))
     if amplitude < 0:
         raise ConfigError("'initial.amplitude' must be nonnegative")
-    seed = init_sec.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"'initial.seed' must be an integer, got {seed!r}")
+    seed = _integer(init_sec, "initial", "seed", 0)
     path = init_sec.get("path")
     if kind == "file" and not isinstance(path, str):
         raise ConfigError("'initial.path' is required when initial.kind is file")
@@ -249,15 +260,15 @@ def parse_config(data: dict) -> RunConfig:
     )
 
     solver_sec = _section(data, "solver", {"tol_rel", "tol_abs", "max_iter"})
-    try:
-        solver = PsdConfig(**solver_sec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'solver' section: {exc}") from exc
+    tol_rel = _number(solver_sec, "solver", "tol_rel", PsdConfig.tol_rel)
+    tol_abs = solver_sec.get("tol_abs")  # None: the solver picks a near-machine floor
+    if tol_rel < 0 or (tol_abs is not None and _number(solver_sec, "solver", "tol_abs") < 0):
+        raise ConfigError(f"solver tolerances must be nonnegative, got {solver_sec!r}")
+    _integer(solver_sec, "solver", "max_iter", PsdConfig.max_iter, minimum=1)
+    solver = PsdConfig(**solver_sec)
 
     out_sec = _section(data, "output", {"dir", "energy_every", "snapshot_times", "formats"})
-    energy_every = out_sec.get("energy_every", 1)
-    if not isinstance(energy_every, int) or energy_every < 1:
-        raise ConfigError(f"'output.energy_every' must be a positive integer, got {energy_every!r}")
+    energy_every = _integer(out_sec, "output", "energy_every", 1, minimum=1)
     snap_times = out_sec.get("snapshot_times", [])
     if not isinstance(snap_times, list) or not all(
         isinstance(t, (int, float)) and not isinstance(t, bool) for t in snap_times
@@ -332,7 +343,7 @@ class RunResult:
     manufactured_errors: tuple[float, float] | None = None  # (linf, l2)
 
 
-def _initial_state(config: RunConfig, grid: GridSpec, source: SourceSpec | None):
+def _initial_state(config: RunConfig, grid: GridSpec, source: Source | None):
     """Initial field plus its start time; ghost-step init unless warm-started."""
     first_dt = config.schedule[0].dt
     params = SchemeParams(eps=config.eps, dt=first_dt, A=config.A)
@@ -346,7 +357,10 @@ def _initial_state(config: RunConfig, grid: GridSpec, source: SourceSpec | None)
         phi0 = field_from_fn(grid, lambda x, y: exact(x, y, 0.0))
         return ghost_init(phi0, params, source=source)
     # warm start from a snapshot: no history is stored, so restart flat
-    phi0, t0 = read_snapshot(config.initial.path)
+    try:
+        phi0, t0 = read_snapshot(config.initial.path)
+    except (OSError, ValueError) as exc:  # ValueError covers SnapshotFormatError
+        raise ConfigError(f"cannot read initial snapshot {config.initial.path}: {exc}") from exc
     if phi0.grid != grid:
         raise ConfigError(
             f"snapshot grid (m={phi0.grid.m}, L={phi0.grid.L}) does not match "
@@ -397,10 +411,13 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
 
     try:
         if write_outputs:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            with open(out_dir / "run.yaml", "w", encoding="utf-8") as fh:
-                yaml.safe_dump(_config_echo(config), fh, sort_keys=True)
-            csv_writer = EnergyCsvWriter(out_dir / "energy.csv")
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                with open(out_dir / "run.yaml", "w", encoding="utf-8") as fh:
+                    yaml.safe_dump(_config_echo(config), fh, sort_keys=True)
+                csv_writer = EnergyCsvWriter(out_dir / "energy.csv")
+            except OSError as exc:
+                raise ConfigError(f"cannot write output directory {out_dir}: {exc}") from exc
 
         E0 = energy(state.phi_curr, config.eps, plan)
         rec0 = EnergyRecord(
@@ -484,7 +501,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    m_list = [int(s) for s in args.m_list.split(",")]
+    try:
+        m_list = [int(s) for s in args.m_list.split(",")]
+    except ValueError:
+        raise ConfigError(f"--m-list must be comma-separated integers, got {args.m_list!r}") from None
+    if len(m_list) < 2 or min(m_list) < 5:
+        raise ConfigError(f"--m-list needs at least 2 grid sizes, each >= 5, got {args.m_list!r}")
+    if not (math.isfinite(args.dt_factor) and args.dt_factor > 0):
+        raise ConfigError(f"--dt-factor must be positive, got {args.dt_factor!r}")
     try:
         report = convergence_study(m_list=m_list, dt_factor=args.dt_factor)
     except SolverError as exc:
@@ -495,6 +519,10 @@ def cmd_converge(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(csv_text, encoding="ascii")
     sys.stdout.write(csv_text)
+    for m, level in report.solve_stats.items():
+        iters = [s.iterations for s in level]
+        print(f"m={m}: psd iterations/step mean {sum(iters) / len(iters):.1f}, "
+              f"max {max(iters)}", file=sys.stderr)
     ok = all(
         3.8 <= r <= 4.1 for pair in report.finest_rates(2) for r in pair
     )

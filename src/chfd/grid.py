@@ -3,12 +3,12 @@
 A square domain of side ``L`` is split into ``m`` cells per axis; unknowns
 live at the cell centers ``x_i = (i - 1/2) h`` with ``h = L / m``.  All
 integrals are plain midpoint quadrature, so the L2 pairing is
-``(f, g) = h^dim * sum(f * g)``.
+``(f, g) = h^2 * sum(f * g)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,17 +33,14 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid: ``m`` cells per axis on ``[0, L]^dim``."""
+    """Uniform periodic grid: ``m`` cells per axis on ``[0, L]^2``."""
 
     L: float
     m: int
-    dim: int = 2
 
     def __post_init__(self) -> None:
         if self.L <= 0:
             raise ValueError(f"domain size must be positive, got L={self.L}")
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not isinstance(self.m, int) or self.m < 2:
             raise ValueError(f"need at least 2 cells per axis, got m={self.m}")
 
@@ -52,12 +49,8 @@ class GridSpec:
         return self.L / self.m
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.m,) * self.dim
-
-    @property
-    def volume(self) -> float:
-        return self.L**self.dim
+    def shape(self) -> tuple[int, int]:
+        return (self.m, self.m)
 
     def cell_centers(self) -> np.ndarray:
         """Coordinates ``(i + 1/2) h`` along one axis (same for every axis)."""
@@ -66,7 +59,7 @@ class GridSpec:
 
 @dataclass
 class Field:
-    """Grid function: ``values[i]`` in 1-D, ``values[i, j]`` ~ ``(x_i, y_j)`` in 2-D."""
+    """Grid function: ``values[i, j]`` is the value at ``(x_i, y_j)``."""
 
     grid: GridSpec
     values: np.ndarray
@@ -95,48 +88,36 @@ def full(grid: GridSpec, value: float) -> Field:
     return Field(grid, np.full(grid.shape, float(value)))
 
 
-def field_from_fn(
-    grid: GridSpec,
-    fn: Callable[..., np.ndarray],
-    shift: Sequence[float] | None = None,
-) -> Field:
-    """Sample ``fn`` at the cell centers.
+def field_from_fn(grid: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Field:
+    """Sample ``fn(x, y)`` at the cell centers.
 
-    ``fn`` takes one coordinate array per axis (broadcast against each other in
-    2-D) and must vectorize.  ``shift`` optionally offsets the sample points by
-    a physical length per axis.
+    ``fn`` gets an ``(m, 1)`` x column and a ``(1, m)`` y row, broadcast
+    against each other, and must vectorize.
     """
-    if shift is None:
-        shift = (0.0,) * grid.dim
-    if len(shift) != grid.dim:
-        raise ValueError(f"shift needs {grid.dim} entries, got {len(shift)}")
     x = grid.cell_centers()
-    if grid.dim == 1:
-        vals = fn(x + shift[0])
-    else:
-        vals = fn(x[:, None] + shift[0], x[None, :] + shift[1])
+    vals = fn(x[:, None], x[None, :])
     return Field(grid, np.broadcast_to(vals, grid.shape).astype(np.float64, copy=True))
 
 
 def mean(f: Field) -> float:
-    """Domain average ``h^dim / L^dim * sum(values)`` (= plain average)."""
+    """Domain average ``h^2 / L^2 * sum(values)`` (= plain average)."""
     return float(np.sum(f.values) / f.values.size)
 
 
 def inner_l2(f: Field, g: Field) -> float:
-    """Midpoint-quadrature L2 pairing ``h^dim * sum(f * g)``."""
+    """Midpoint-quadrature L2 pairing ``h^2 * sum(f * g)``."""
     _check_same_grid(f, g)
-    return float(f.grid.h**f.grid.dim * np.sum(f.values * g.values))
+    return float(f.grid.h**2 * np.sum(f.values * g.values))
 
 
 def norm_l2(f: Field) -> float:
-    return float(np.sqrt(f.grid.h**f.grid.dim * np.sum(f.values**2)))
+    return float(np.sqrt(f.grid.h**2 * np.sum(f.values**2)))
 
 
 def norm_lp(f: Field, p: float) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return float((f.grid.h**f.grid.dim * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+    return float((f.grid.h**2 * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 
 
 def norm_linf(f: Field) -> float:

@@ -51,8 +51,6 @@ def write_snapshot(field: Field, path: str | os.PathLike, t: float, format: str 
 
 
 def _write_chf(field: Field, path: str | os.PathLike, t: float) -> None:
-    if field.grid.dim != 2:
-        raise ValueError("snapshots are written for 2-D fields")
     mx, my = field.values.shape
     header = f"{_MAGIC} {mx} {my} {field.grid.L!r} {t!r}\n"
     with open(path, "wb") as fh:

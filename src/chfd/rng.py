@@ -47,6 +47,6 @@ def random_initial_field(grid: GridSpec, mean: float, amplitude: float, seed: in
     """Uniform field mean + amplitude*(2r - 1), filled in row-major order."""
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
-    r = unit_floats(seed, grid.m**grid.dim)
+    r = unit_floats(seed, grid.m**2)
     values = mean + amplitude * (2.0 * r - 1.0)
     return Field(grid, values.reshape(grid.shape))

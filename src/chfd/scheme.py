@@ -46,7 +46,6 @@ from .spectral import (
     SpectralPlan,
     _check_same_grid,
     _irfft,
-    _rfft,
     laplace_long_spectral,
     make_plan,
 )
@@ -57,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "SchemeParams",
     "StepState",
-    "SourceSpec",
+    "Source",
     "StepDiagnostics",
     "NonFiniteStateError",
     "MassDriftError",
@@ -115,11 +114,8 @@ class StepState:
     step_index: int = 0
 
 
-@dataclass(frozen=True)
-class SourceSpec:
-    """Forcing term S(x, y, t); must have zero spatial mean for every t."""
-
-    fn: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+Source = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+"""Forcing term S(x, y, t); must have zero spatial mean for every t."""
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,7 @@ def manufactured_solution(L: float) -> Callable[[np.ndarray, np.ndarray, float],
     return phi_e
 
 
-def manufactured_source(eps: float, L: float) -> SourceSpec:
+def manufactured_source(eps: float, L: float) -> Source:
     """Forcing that makes ``manufactured_solution`` solve the forced equation.
 
     S = phi_t - lap(phi^3) + lap(phi) + eps^2 lap^2(phi), in closed form via
@@ -159,10 +155,10 @@ def manufactured_source(eps: float, L: float) -> SourceSpec:
         dphi_dt = -amp * sx * cy * st
         return dphi_dt - lap_phi3 + lap_phi + eps**2 * (4.0 * a**4 * phi)
 
-    return SourceSpec(S)
+    return S
 
 
-def manufactured_source_stencil(eps: float, grid: GridSpec) -> SourceSpec:
+def manufactured_source_stencil(eps: float, grid: GridSpec) -> Source:
     """Forcing built with the long-stencil Laplacian instead of the continuous one.
 
     S_h(t) = dphi_ref/dt - lap4[phi_ref^3 - phi_ref - eps^2 lap4 phi_ref],
@@ -175,10 +171,8 @@ def manufactured_source_stencil(eps: float, grid: GridSpec) -> SourceSpec:
     the h^4 stencil defect on the cubic term's third harmonics is amplified by
     roughly e^{T/(4 eps^2)}, burying the scheme's own accuracy.
 
-    The returned spec is bound to ``grid``; sampling it on another grid fails.
+    The returned source is bound to ``grid``; sampling it on another grid fails.
     """
-    if grid.dim != 2:
-        raise ValueError("stencil-built sources are defined on 2-D grids")
     a = 2.0 * np.pi / grid.L
     amp = 1.0 / (2.0 * np.pi)
     xc = grid.cell_centers()
@@ -190,37 +184,29 @@ def manufactured_source_stencil(eps: float, grid: GridSpec) -> SourceSpec:
         mu = uv * uv * uv - uv - eps**2 * laplace_long(u).values
         return -np.sin(t) * envelope - laplace_long(Field(grid, mu)).values
 
-    return SourceSpec(S)
+    return S
 
 
-def sample_source(source: SourceSpec, grid: GridSpec, t: float) -> Field:
+def sample_source(source: Source, grid: GridSpec, t: float) -> Field:
     """Sample S at the cell centers and project out the (roundoff-level) mean.
 
     Raises if the sampled mean is not already negligible: the scheme only
     conserves mass for mean-free forcing.
     """
-    if grid.dim != 2:
-        raise ValueError("sources are defined on 2-D grids")
-    svals = field_from_fn(grid, lambda x, y: source.fn(x, y, t)).values
+    svals = field_from_fn(grid, lambda x, y: source(x, y, t)).values
     sbar = float(np.mean(svals))
     if abs(sbar) > 1e-10 * (1.0 + float(np.max(np.abs(svals)))):
         raise ValueError(f"source mean {sbar:.3e} at t={t} is not numerically zero")
     return Field(grid, svals - sbar)
 
 
-def _require_dim2(phi: Field) -> None:
-    if phi.grid.dim != 2:
-        raise ValueError("the time stepper runs on 2-D grids only")
-
-
-def ghost_init(phi0: Field, params: SchemeParams, source: SourceSpec | None = None) -> StepState:
+def ghost_init(phi0: Field, params: SchemeParams, source: Source | None = None) -> StepState:
     """Build the starting two-field history from a single initial field.
 
     The fictitious previous field is one explicit Euler step backward,
     phi^{-1} = phi^0 - dt (lap4 mu^0 + S^0) with mu^0 = phi^3 - phi - eps^2 lap4 phi,
     which keeps the overall accuracy at second order in dt.
     """
-    _require_dim2(phi0)
     plan = make_plan(phi0.grid)
     p0 = phi0.values
     mu0 = p0 * p0 * p0 - p0 - params.eps**2 * laplace_long_spectral(plan, phi0).values
@@ -233,7 +219,6 @@ def ghost_init(phi0: Field, params: SchemeParams, source: SourceSpec | None = No
 
 def restart_flat(phi0: Field, t: float = 0.0, beta0: float | None = None) -> StepState:
     """History with phi_prev = phi_curr = phi0 (used when dt changes mid-run)."""
-    _require_dim2(phi0)
     return StepState(
         phi_prev=phi0.copy(),
         phi_curr=phi0.copy(),
@@ -247,7 +232,7 @@ def assemble_rhs(
     state: StepState,
     params: SchemeParams,
     plan: SpectralPlan,
-    source: SourceSpec | None = None,
+    source: Source | None = None,
 ) -> Field:
     """Explicit right-hand side of the critical-point problem N[phi] = f.
 
@@ -262,11 +247,11 @@ def assemble_rhs(
     phi_k = state.phi_curr.values
     f = 2.0 * dt * phi_k - dt * state.phi_prev.values
     if source is None:
-        spec = _rfft(plan, phi_k)
+        spec = np.fft.rfft2(phi_k)
         spec *= A * dt**2 * plan.Lambda_long
     else:
         svals = sample_source(source, grid, state.t + dt).values
-        phi_hat, s_hat = _rfft(plan, np.stack((phi_k, svals)))
+        phi_hat, s_hat = np.fft.rfft2(np.stack((phi_k, svals)))
         spec = A * dt**2 * plan.Lambda_long * phi_hat + dt * plan.inv_Lambda * s_hat
     f += _irfft(plan, spec)
     return Field(grid, f)
@@ -277,7 +262,7 @@ def step(
     params: SchemeParams,
     plan: SpectralPlan,
     solver_cfg: "PsdConfig | None" = None,
-    source: SourceSpec | None = None,
+    source: Source | None = None,
 ) -> tuple[StepState, StepDiagnostics]:
     """Advance one time step; returns the new state and its diagnostics."""
     from .psd import PsdConfig, solve  # deferred: psd imports this module

@@ -14,9 +14,9 @@ Laplacian (sum over axes), which are nonnegative and vanish only at the zero
 mode; that makes the Laplacian invertible on mean-zero data and provides the
 discrete H^{-1} inner product used by the time stepping.
 
-Transforms use the numpy real-to-complex path (``rfft``/``rfft2``,
-normalization 1/m^dim on the inverse).  ``Lambda_long`` and friends are
-stored in the rfft layout: the last axis holds modes 0..m//2 only.
+Transforms use the numpy real-to-complex path (``rfft2``, normalization
+1/m^2 on the inverse).  ``Lambda_long`` and friends are stored in the rfft
+layout: the last axis holds modes 0..m//2 only.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ class SpectralPlan:
     grid: GridSpec
     lambda_std: np.ndarray  # (m,) per-axis symbols, FFT frequency order
     lambda_long: np.ndarray  # (m,)
-    Lambda_long: np.ndarray  # -(sum of per-axis lambda_long); (m//2+1,) or (m, m//2+1)
+    Lambda_long: np.ndarray  # -(sum of per-axis lambda_long); (m, m//2+1)
     inv_Lambda: np.ndarray  # 1/Lambda_long with the zero mode set to 0
     mode_weights: np.ndarray  # Parseval multiplicity of each rfft column (1 or 2)
 
@@ -60,12 +60,8 @@ def make_plan(grid: GridSpec) -> SpectralPlan:
     if m % 2 == 0:
         # index m//2 holds frequency -m/2 in FFT order; symbols are even in k
         lam_half[-1] = lam_long[m // 2]
-    if grid.dim == 1:
-        Lam = -lam_half
-        Lam[0] = 0.0
-    else:
-        Lam = -(lam_long[:, None] + lam_half[None, :])
-        Lam[0, 0] = 0.0
+    Lam = -(lam_long[:, None] + lam_half[None, :])
+    Lam[0, 0] = 0.0
     inv = np.zeros_like(Lam)
     np.divide(1.0, Lam, out=inv, where=Lam > 0)
     w = np.full(half, 2.0)
@@ -75,15 +71,8 @@ def make_plan(grid: GridSpec) -> SpectralPlan:
     return SpectralPlan(grid, lam_std, lam_long, Lam, inv, w)
 
 
-def _rfft(plan: SpectralPlan, values: np.ndarray) -> np.ndarray:
-    if plan.grid.dim == 1:
-        return np.fft.rfft(values)
-    return np.fft.rfft2(values)
-
-
 def _irfft(plan: SpectralPlan, spec: np.ndarray) -> np.ndarray:
-    if plan.grid.dim == 1:
-        return np.fft.irfft(spec, n=plan.grid.m)
+    """Inverse of ``np.fft.rfft2`` on the plan's grid (odd m needs the shape)."""
     return np.fft.irfft2(spec, s=plan.grid.shape)
 
 
@@ -94,11 +83,7 @@ def _quad(plan: SpectralPlan, spec: np.ndarray, symbol: np.ndarray) -> float:
     """
     g = plan.grid
     mag = symbol * (spec.real**2 + spec.imag**2)
-    if g.dim == 1:
-        total = np.sum(plan.mode_weights * mag)
-    else:
-        total = np.sum(plan.mode_weights[None, :] * mag)
-    return float(g.h**g.dim / g.m**g.dim * total)
+    return float(g.h**2 / g.m**2 * np.sum(plan.mode_weights * mag))
 
 
 def _check_same_grid(plan: SpectralPlan, f: Field) -> None:
@@ -109,7 +94,7 @@ def _check_same_grid(plan: SpectralPlan, f: Field) -> None:
 def laplace_long_spectral(plan: SpectralPlan, f: Field) -> Field:
     """Transform-space application of the long-stencil Laplacian."""
     _check_same_grid(plan, f)
-    spec = _rfft(plan, f.values)
+    spec = np.fft.rfft2(f.values)
     spec *= -plan.Lambda_long
     return Field(plan.grid, _irfft(plan, spec))
 
@@ -125,7 +110,7 @@ def invert_laplace_long(plan: SpectralPlan, g: Field) -> Field:
     tol_mean = 1e-12 * (1.0 + norm_linf(g))
     if abs(gbar) > tol_mean:
         raise ValueError(f"mean(g) = {gbar:.3e} exceeds solvability tolerance {tol_mean:.3e}")
-    spec = _rfft(plan, g.values)
+    spec = np.fft.rfft2(g.values)
     spec *= plan.inv_Lambda  # zero mode annihilated by inv_Lambda
     return Field(plan.grid, _irfft(plan, spec))
 
@@ -157,6 +142,6 @@ def precondition_solve(plan: SpectralPlan, r: Field, dt: float, eps: float, A: f
     rbar = float(np.mean(r.values))
     if abs(rbar) > 1e-12 * (1.0 + norm_linf(r)):
         raise ValueError(f"preconditioner input must be mean-free, got mean {rbar:.3e}")
-    spec = _rfft(plan, r.values)
+    spec = np.fft.rfft2(r.values)
     spec *= _inv_sigma(plan, dt, eps, A)
     return Field(plan.grid, _irfft(plan, spec))

@@ -19,7 +19,6 @@ runs with the same inputs produce byte-identical text.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 from .grid import Field, GridSpec, field_from_fn, norm_l2, norm_linf, norm_lp
 from .io import fmt17
 from .operators import d1_long, grad_norm_sq_long, grad_norm_sq_std, laplace_long, laplace_std
-from .psd import PsdConfig, SolveStats
+from .psd import SolveStats
 from .rng import unit_floats
 from .scheme import (
     SchemeParams,
@@ -125,15 +124,15 @@ def _rows_from_errors(levels: Sequence[tuple[float, float, float]]) -> list[Refi
 
 @dataclass(frozen=True)
 class TruncationCase:
-    """A smooth periodic test function with one analytically-known derivative.
+    """A smooth periodic test function f(x, y) with one analytically-known derivative.
 
     ``kind`` selects the operator under test: "laplace" compares
     ``laplace_long`` against the analytic Laplacian, "d1" compares ``d1_long``
-    along axis 0 against the analytic first derivative.
+    along axis 0 against the analytic first derivative.  The one-dimensional
+    cases are constant in y, where every stencil gives exactly 0.
     """
 
     name: str
-    dim: int
     kind: str  # "laplace" | "d1"
     f: Callable[..., np.ndarray]
     reference: Callable[..., np.ndarray]
@@ -142,26 +141,24 @@ class TruncationCase:
 def _builtin_cases(L: float) -> dict[str, TruncationCase]:
     a = 2.0 * math.pi / L
 
-    def sin_x(x):
-        return np.sin(a * x)
+    def sin_x(x, y):
+        return np.sin(a * x) + 0.0 * y
 
     cases = {
         "sin_x": TruncationCase(
-            "sin_x", 1, "laplace", sin_x, lambda x: -(a**2) * np.sin(a * x)
+            "sin_x", "laplace", sin_x, lambda x, y: -(a**2) * np.sin(a * x) + 0.0 * y
         ),
         "sin_x_d1": TruncationCase(
-            "sin_x_d1", 1, "d1", sin_x, lambda x: a * np.cos(a * x)
+            "sin_x_d1", "d1", sin_x, lambda x, y: a * np.cos(a * x) + 0.0 * y
         ),
         "mode_product": TruncationCase(
             "mode_product",
-            2,
             "laplace",
             lambda x, y: np.sin(a * x) * np.cos(2 * a * y),
             lambda x, y: -5.0 * a**2 * np.sin(a * x) * np.cos(2 * a * y),
         ),
         "exp_sin": TruncationCase(
             "exp_sin",
-            2,
             "laplace",
             lambda x, y: np.exp(np.sin(a * x)) * np.cos(a * y),
             lambda x, y: a**2
@@ -171,10 +168,9 @@ def _builtin_cases(L: float) -> dict[str, TruncationCase]:
         ),
         "exp_sin_d1": TruncationCase(
             "exp_sin_d1",
-            1,
             "d1",
-            lambda x: np.exp(np.sin(a * x)),
-            lambda x: a * np.cos(a * x) * np.exp(np.sin(a * x)),
+            lambda x, y: np.exp(np.sin(a * x)) + 0.0 * y,
+            lambda x, y: a * np.cos(a * x) * np.exp(np.sin(a * x)) + 0.0 * y,
         ),
     }
     return cases
@@ -203,7 +199,7 @@ def truncation_study(
         raise ValueError("need at least 2 grid levels for a refinement study")
     levels = []
     for m in m_list:
-        grid = GridSpec(L=L, m=m, dim=case.dim)
+        grid = GridSpec(L=L, m=m)
         f = field_from_fn(grid, case.f)
         ref = field_from_fn(grid, case.reference)
         if case.kind == "laplace":
@@ -215,7 +211,7 @@ def truncation_study(
         levels.append((grid.h, norm_l2(tau), norm_linf(tau)))
     return RefinementReport(
         test_name=f"truncation:{case.name}",
-        parameters={"L": L, "dim": case.dim, "kind": case.kind, "m_list": tuple(m_list)},
+        parameters={"L": L, "kind": case.kind, "m_list": tuple(m_list)},
         rows=_rows_from_errors(levels),
     )
 
@@ -278,7 +274,7 @@ def random_trig_field(
     the inequalities assume.  ``index`` selects a disjoint slice of the
     splitmix64 stream so trials are independent but reproducible.
     """
-    n = grid.m ** grid.dim
+    n = grid.m**2
     u = unit_floats(seed, 2 * n, start=2 * n * index)
     # Box-Muller; shift u1 into (0, 1] so the log is finite
     z = np.sqrt(-2.0 * np.log(1.0 - u[:n])) * np.cos(2.0 * np.pi * u[n:])
@@ -286,10 +282,9 @@ def random_trig_field(
     spec = np.fft.fftn(white)
     freq = np.fft.fftfreq(grid.m, d=1.0 / grid.m)
     keep_1d = np.abs(freq) <= grid.m // 4
-    keep = keep_1d if grid.dim == 1 else np.outer(keep_1d, keep_1d)
-    spec = np.where(keep, spec, 0.0)
+    spec = np.where(np.outer(keep_1d, keep_1d), spec, 0.0)
     if mean_zero:
-        spec[(0,) * grid.dim] = 0.0
+        spec[0, 0] = 0.0
     return Field(grid, np.real(np.fft.ifftn(spec)))
 
 
@@ -366,23 +361,25 @@ def inequality_study(grid: GridSpec, n_trials: int, rng_seed: int) -> Inequality
 # ---------------------------------------------------------------------------
 # time-stepper convergence study
 
+# The forced problem every level of the refinement study solves, at the
+# default solver settings.
+CONVERGENCE_L = 3.2
+CONVERGENCE_EPS = 0.1
+CONVERGENCE_T = 0.32
+CONVERGENCE_A = 1.0 / 16.0
+
 
 def convergence_study(
     m_list: Sequence[int] = (16, 32, 64, 128),
-    L: float = 3.2,
-    eps: float = 0.1,
-    T: float = 0.32,
     dt_factor: float = 0.25,
-    A: float = 1.0 / 16.0,
-    solver_cfg: PsdConfig | None = None,
 ) -> RefinementReport:
     """Refinement study of the full scheme against the reference solution.
 
-    Each level runs to T with dt = dt_factor * h^2 (quadratic refinement
-    path), forced by the stencil-built source so the sampled reference field
-    solves the space-discretized equation exactly and the measured error
-    isolates the time stepper; errors are sampled at the cell centers at the
-    final time.  dt_factor = 1/4 keeps every level's error within a small
+    Each level solves the problem fixed by the ``CONVERGENCE_*`` constants up
+    to T with dt = dt_factor * h^2 (quadratic refinement path), forced by the
+    stencil-built source so the sampled reference field solves the
+    space-discretized equation exactly and the measured error isolates the
+    time stepper; errors are sampled at the cell centers at the final time.  dt_factor = 1/4 keeps every level's error within a small
     multiple of the scheme's asymptotic constant (the reference state sits in
     the anti-diffusive band, so time-truncation noise is amplified by a
     resolution-independent factor; see ``manufactured_source_stencil``).
@@ -392,11 +389,10 @@ def convergence_study(
     """
     if len(m_list) < 2:
         raise ValueError("need at least 2 grid levels for a refinement study")
-    solver_cfg = solver_cfg or PsdConfig()
+    L, eps, T, A = CONVERGENCE_L, CONVERGENCE_EPS, CONVERGENCE_T, CONVERGENCE_A
     exact = manufactured_solution(L)
     levels = []
     stats: dict[int, list[SolveStats]] = {}
-    t_begin = time.perf_counter()
     for m in m_list:
         grid = GridSpec(L=L, m=m)
         dt = dt_factor * grid.h**2
@@ -408,7 +404,7 @@ def convergence_study(
         state = ghost_init(phi0, params, source=source)
         level_stats: list[SolveStats] = []
         for _ in range(n_steps):
-            state, diag = step(state, params, plan, solver_cfg=solver_cfg, source=source)
+            state, diag = step(state, params, plan, source=source)
             level_stats.append(diag.solve)
         ref = field_from_fn(grid, lambda x, y: exact(x, y, state.t))
         err = Field(grid, state.phi_curr.values - ref.values)
@@ -423,7 +419,6 @@ def convergence_study(
             "dt_factor": dt_factor,
             "A": A,
             "m_list": tuple(m_list),
-            "runtime_s": round(time.perf_counter() - t_begin, 3),
         },
         rows=_rows_from_errors(levels),
         solve_stats=stats,

@@ -99,7 +99,7 @@ def oracle_F(state, params, phi: np.ndarray, rhs: Field, plan) -> float:
     visc = params.dt * (params.A * params.dt + params.eps**2)
     return (
         inner_l2(B, invert_laplace_long(plan, B)) / 3.0
-        + 0.25 * params.dt * grid.h**grid.dim * float(np.sum(phi**4))
+        + 0.25 * params.dt * grid.h**2 * float(np.sum(phi**4))
         + 0.5 * visc * inner_l2(f, Field(grid, -laplace_long(f).values))
         - inner_l2(rhs, f)
     )
@@ -113,7 +113,7 @@ def oracle_residual(state, params, phi: np.ndarray, rhs: Field, plan) -> Field:
 def oracle_cubic(state, params, phi: np.ndarray, d: Field, rhs: Field, plan) -> LineSearchCubic:
     """Coefficients of q(alpha) = (N[phi + alpha d] - f, d) for mean-zero d."""
     grid = state.phi_curr.grid
-    hd = grid.h**grid.dim
+    hd = grid.h**2
     dt = params.dt
     visc = dt * (params.A * dt + params.eps**2)
     dv = d.values

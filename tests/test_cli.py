@@ -195,6 +195,14 @@ def test_defaults_are_filled_in():
         {"output": {"snapshot_times": [0.025]}},  # between steps
         {"output": {"snapshot_times": [0.06]}},  # after the schedule end
         {"output": {"snapshot_times": [-1.0]}},  # before the start
+        {"physics": {"eps": -0.1}},
+        {"physics": {"eps": float("nan")}},  # non-finite
+        {"domain": {"L": -1}},
+        {"solver": {"max_iter": 2.5}},
+        {"solver": {"tol_rel": "abc"}},
+        {"solver": {"tol_rel": -1}},
+        {"solver": {"tol_abs": float("inf")}},
+        {"initial": {"seed": True}},
     ],
 )
 def test_bad_configs_rejected(breakage):
@@ -353,6 +361,25 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(hopeless)]) == 3
 
 
+def test_run_reports_unusable_files_as_config_errors(tmp_path, capsys):
+    missing = tmp_path / "nope.chf"
+    truncated = tmp_path / "short.chf"
+    truncated.write_bytes(b"CHF1 16 16 3.2 0.0\n" + b"\x00" * 16)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for bad_path, section in [
+        (missing, {"initial": {"kind": "file", "path": str(missing)}}),
+        (truncated, {"initial": {"kind": "file", "path": str(truncated)}}),
+        (taken, {"output": {"dir": str(taken)}}),  # output dir is a file
+    ]:
+        config = tmp_path / "c.yaml"
+        config.write_text(yaml.safe_dump(base_config(**section)))
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert str(bad_path) in err
+
+
 def test_verify_subcommand_writes_reports(tmp_path, capsys):
     rc = main(["verify", "symbols", "--out", str(tmp_path / "v")])
     assert rc == 0
@@ -374,4 +401,19 @@ def test_converge_subcommand_csv(tmp_path, capsys):
     assert rc == 4
     text = (tmp_path / "c.csv").read_text()
     assert text.splitlines()[0] == "h,error_l2,rate_l2,error_linf,rate_linf"
-    assert capsys.readouterr().out.startswith("h,error_l2")
+    captured = capsys.readouterr()
+    assert captured.out.startswith("h,error_l2")
+    # solver effort per level goes to stderr, so stdout stays the CSV
+    assert captured.err.startswith("m=16: psd iterations/step mean ")
+    assert "\nm=32: psd iterations/step mean " in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--m-list", "16"], ["--m-list", "4,8"], ["--m-list", "a,b"], ["--dt-factor", "-1"]],
+)
+def test_converge_rejects_bad_arguments(tmp_path, capsys, args):
+    assert main(["converge", *args, "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "c.csv").exists()

@@ -24,7 +24,6 @@ def test_grid_spec_basic_geometry():
     grid = GridSpec(L=3.2, m=32)
     assert grid.h == pytest.approx(0.1)
     assert grid.shape == (32, 32)
-    assert grid.volume == pytest.approx(3.2**2)
     centers = grid.cell_centers()
     assert centers[0] == pytest.approx(0.05)
     assert centers[-1] == pytest.approx(3.2 - 0.05)
@@ -36,8 +35,6 @@ def test_grid_spec_rejects_bad_parameters():
         GridSpec(L=0.0, m=8)
     with pytest.raises(ValueError):
         GridSpec(L=1.0, m=1)
-    with pytest.raises(ValueError):
-        GridSpec(L=1.0, m=8, dim=3)
 
 
 def test_field_shape_must_match_grid():
@@ -52,15 +49,6 @@ def test_field_from_fn_samples_cell_centers():
     f = field_from_fn(grid, lambda x, y: np.sin(2 * np.pi * x) + 0.0 * y)
     expected_col = np.sin(2 * np.pi * np.array([0.125, 0.375, 0.625, 0.875]))
     assert np.allclose(f.values, expected_col[:, None])
-
-
-def test_field_from_fn_shift_matches_shifted_argument():
-    grid = GridSpec(L=2.0, m=16)
-    f = field_from_fn(grid, lambda x, y: np.cos(x) * np.sin(y), shift=(0.3, -0.1))
-    g = field_from_fn(grid, lambda x, y: np.cos(x + 0.3) * np.sin(y - 0.1))
-    assert np.array_equal(f.values, g.values)
-    with pytest.raises(ValueError):
-        field_from_fn(grid, lambda x, y: x + y, shift=(0.1,))
 
 
 def test_mean_matches_compensated_sum(grid32):
@@ -84,7 +72,7 @@ def test_norms_constant_field():
     grid = GridSpec(L=2.0, m=10)
     c = Field(grid, np.full(grid.shape, -1.5))
     assert norm_linf(c) == 1.5
-    # ||c||_2 = |c| * L^{dim/2}
+    # ||c||_2 = |c| * L
     assert norm_l2(c) == pytest.approx(1.5 * 2.0)
     assert norm_lp(c, 4) == pytest.approx(1.5 * 2.0**0.5)
     assert mean(c) == pytest.approx(-1.5)

@@ -145,7 +145,6 @@ def test_convergence_study_two_levels():
     assert e_fine < e_coarse / 8.0  # approaching fourth order already
     assert report.rows[1].rate_l2 is not None
     assert report.parameters["dt_factor"] == 0.25
-    assert report.parameters["runtime_s"] >= 0.0
     assert set(report.solve_stats) == {16, 32}
     steps_16 = len(report.solve_stats[16])
     assert steps_16 > 0
