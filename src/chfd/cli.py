@@ -2,9 +2,11 @@
 
 Three subcommands:
 
-* ``chfd run CONFIG.yaml`` — advance a simulation through its time-step
-  schedule, streaming the energy CSV and writing field snapshots.
-* ``chfd converge`` — the time-stepper refinement study (Table-style CSV).
+* ``chfd run CONFIG.yaml`` — advance random data or a snapshot through its
+  time-step schedule, streaming the energy CSV and writing field snapshots;
+  steps are planned once and numbered through the whole run.
+* ``chfd converge`` — the refinement study of the forced reference problem
+  (Table-style CSV).
 * ``chfd verify {truncation,symbols,inequalities,all}`` — operator-level
   studies with hard pass/fail assertions.
 
@@ -26,7 +28,7 @@ import yaml
 
 from . import __version__
 from .diagnostics import EnergyRecord, energy, modified_energy
-from .grid import Field, GridSpec, field_from_fn, mean, norm_l2, norm_linf
+from .grid import Field, GridSpec, mean
 from .io import EnergyCsvWriter, read_snapshot, write_snapshot
 from .psd import PsdConfig, SolverError, SolveStats
 from .rng import random_initial_field
@@ -34,16 +36,15 @@ from .scheme import (
     MassDriftError,
     NonFiniteStateError,
     SchemeParams,
-    Source,
     StepState,
     ghost_init,
-    manufactured_solution,
-    manufactured_source_stencil,
     restart_flat,
     step,
 )
 from .spectral import make_plan
 from .verification import (
+    CONVERGENCE_L,
+    CONVERGENCE_T,
     TRUNCATION_CASES,
     convergence_study,
     inequality_study,
@@ -90,7 +91,7 @@ class SegmentConfig:
 
 @dataclass(frozen=True)
 class InitialConfig:
-    kind: str = "random"  # random | file | manufactured
+    kind: str = "random"  # random | file
     mean: float = 0.0
     amplitude: float = 0.1
     seed: int = 0
@@ -144,27 +145,36 @@ def _whole_steps(span: float, dt: float) -> int | None:
     return k if abs(n - k) <= _TIME_REL_TOL * max(1.0, abs(n)) else None
 
 
-def _check_lattice(
+def _step_plan(
     schedule: tuple[SegmentConfig, ...], t0: float, snapshot_times: tuple[float, ...]
-) -> None:
-    """Reject segments and snapshot times that steps taken from t0 cannot land on.
+) -> tuple[list[tuple[float, int]], list[int]]:
+    """The steps from t0 through the schedule, decided once as integers.
 
-    Each segment must hold a whole number of its steps, counted from t0 or
-    from the end of the segment before it; segments that end by t0 (a warm
-    start) are skipped.  A snapshot time must be t0 itself, or a step time
-    after it no later than the schedule end.
+    Returns ``(dt, n_steps)`` for each segment after t0 and the run step of
+    each snapshot time, in time order; run step 0 is t0.  Each segment must
+    hold a whole number of its steps, counted from t0 or from the end of the
+    segment before it; segments that end by t0 (a warm start) are skipped.  A
+    snapshot time must be t0 itself, or a step time after it no later than the
+    schedule end.  Anything else is a ConfigError.
     """
+    if _reached(schedule[-1].t_end, t0):
+        raise ConfigError(
+            f"initial time {t0} is already past the schedule end {schedule[-1].t_end}"
+        )
     early = [s for s in snapshot_times if not _reached(t0, s)]
     if early:
         raise ConfigError(
             f"snapshot time(s) {', '.join(map(repr, early))} before the start time {t0!r}"
         )
-    t_start = t0
+    segments: list[tuple[float, int]] = []
+    snap_steps = [0 for s in snapshot_times if _reached(s, t0)]
     snaps = sorted(s for s in snapshot_times if not _reached(s, t0))
+    t_start, k_start = t0, 0
     for i, seg in enumerate(schedule):
         if _reached(seg.t_end, t_start):
             continue
-        if not _whole_steps(seg.t_end - t_start, seg.dt):
+        n = _whole_steps(seg.t_end - t_start, seg.dt)
+        if not n:
             raise ConfigError(
                 f"schedule[{i}]: ({seg.t_end!r} - {t_start!r}) / dt = "
                 f"{(seg.t_end - t_start) / seg.dt!r} is not a whole number of steps "
@@ -172,17 +182,21 @@ def _check_lattice(
             )
         inside = [s for s in snaps if _reached(s, seg.t_end)]
         for s in inside:
-            if _whole_steps(s - t_start, seg.dt) is None:
+            k = _whole_steps(s - t_start, seg.dt)
+            if k is None:
                 raise ConfigError(
                     f"snapshot time {s!r} is not a step time of schedule[{i}] "
                     f"({t_start!r} + k * {seg.dt!r})"
                 )
+            snap_steps.append(k_start + k)
         snaps = snaps[len(inside):]
-        t_start = seg.t_end
+        segments.append((seg.dt, n))
+        t_start, k_start = seg.t_end, k_start + n
     if snaps:
         raise ConfigError(
             f"snapshot time(s) {', '.join(map(repr, snaps))} after the schedule end {t_start!r}"
         )
+    return segments, snap_steps
 
 
 def _number(sec: dict, section: str, key: str, default=None):
@@ -240,8 +254,8 @@ def parse_config(data: dict) -> RunConfig:
 
     init_sec = _section(data, "initial", {"kind", "mean", "amplitude", "seed", "path"})
     kind = init_sec.get("kind", "random")
-    if kind not in ("random", "file", "manufactured"):
-        raise ConfigError(f"'initial.kind' must be random, file or manufactured, got {kind!r}")
+    if kind not in ("random", "file"):
+        raise ConfigError(f"'initial.kind' must be random or file, got {kind!r}")
     amplitude = float(_number(init_sec, "initial", "amplitude", 0.1))
     if amplitude < 0:
         raise ConfigError("'initial.amplitude' must be nonnegative")
@@ -259,11 +273,9 @@ def parse_config(data: dict) -> RunConfig:
         path=path,
     )
 
-    solver_sec = _section(data, "solver", {"tol_rel", "tol_abs", "max_iter"})
-    tol_rel = _number(solver_sec, "solver", "tol_rel", PsdConfig.tol_rel)
-    tol_abs = solver_sec.get("tol_abs")  # None: the solver picks a near-machine floor
-    if tol_rel < 0 or (tol_abs is not None and _number(solver_sec, "solver", "tol_abs") < 0):
-        raise ConfigError(f"solver tolerances must be nonnegative, got {solver_sec!r}")
+    solver_sec = _section(data, "solver", {"tol_rel", "max_iter"})
+    if _number(solver_sec, "solver", "tol_rel", PsdConfig.tol_rel) < 0:
+        raise ConfigError(f"'solver.tol_rel' must be nonnegative, got {solver_sec['tol_rel']!r}")
     _integer(solver_sec, "solver", "max_iter", PsdConfig.max_iter, minimum=1)
     solver = PsdConfig(**solver_sec)
 
@@ -290,7 +302,7 @@ def parse_config(data: dict) -> RunConfig:
     if data:
         raise ConfigError(f"unknown top-level section(s): {', '.join(sorted(data))}")
     if kind != "file":  # a warm start is checked against the file's time
-        _check_lattice(tuple(segments), 0.0, output.snapshot_times)
+        _step_plan(tuple(segments), 0.0, output.snapshot_times)
     return RunConfig(
         L=L, m=m, eps=eps, A=A,
         schedule=tuple(segments),
@@ -340,23 +352,14 @@ class RunResult:
     state: StepState
     solve_stats: list[SolveStats]
     snapshots: list[float]  # step times of the snapshots written
-    manufactured_errors: tuple[float, float] | None = None  # (linf, l2)
 
 
-def _initial_state(config: RunConfig, grid: GridSpec, source: Source | None):
-    """Initial field plus its start time; ghost-step init unless warm-started."""
-    first_dt = config.schedule[0].dt
-    params = SchemeParams(eps=config.eps, dt=first_dt, A=config.A)
-    kind = config.initial.kind
-    if kind == "random":
+def _initial_field(config: RunConfig, grid: GridSpec) -> tuple[Field, float]:
+    """Initial field and its time: seeded random data at 0, or a warm-start snapshot."""
+    if config.initial.kind == "random":
         phi0 = random_initial_field(grid, config.initial.mean, config.initial.amplitude,
                                     config.initial.seed)
-        return ghost_init(phi0, params, source=None)
-    if kind == "manufactured":
-        exact = manufactured_solution(config.L)
-        phi0 = field_from_fn(grid, lambda x, y: exact(x, y, 0.0))
-        return ghost_init(phi0, params, source=source)
-    # warm start from a snapshot: no history is stored, so restart flat
+        return phi0, 0.0
     try:
         phi0, t0 = read_snapshot(config.initial.path)
     except (OSError, ValueError) as exc:  # ValueError covers SnapshotFormatError
@@ -366,7 +369,7 @@ def _initial_state(config: RunConfig, grid: GridSpec, source: Source | None):
             f"snapshot grid (m={phi0.grid.m}, L={phi0.grid.L}) does not match "
             f"config (m={grid.m}, L={grid.L})"
         )
-    return restart_flat(phi0, t=t0)
+    return phi0, t0
 
 
 def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
@@ -377,37 +380,32 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
     energy CSV always contains the initial row, every ``energy_every``-th
     step, and the final step.  Every segment and snapshot time must sit on the
     step lattice from the initial time (ConfigError otherwise), so a snapshot
-    is taken at exactly the step time it names.
+    is taken at exactly the step time it names.  Steps are numbered from the
+    initial time through the whole run, across changes of dt.
     """
     grid = GridSpec(L=config.L, m=config.m)
     plan = make_plan(grid)
-    source = (
-        manufactured_source_stencil(config.eps, grid)
-        if config.initial.kind == "manufactured"
-        else None
-    )
-    state = _initial_state(config, grid, source)
-    if _reached(config.schedule[-1].t_end, state.t):
-        raise ConfigError(
-            f"initial time {state.t} is already past the schedule end "
-            f"{config.schedule[-1].t_end}"
-        )
-    _check_lattice(config.schedule, state.t, config.output.snapshot_times)
+    phi0, t0 = _initial_field(config, grid)
+    segments, snap_steps = _step_plan(config.schedule, t0, config.output.snapshot_times)
+    last_step = sum(n for _, n in segments)
+    if config.initial.kind == "random":
+        state = ghost_init(phi0, SchemeParams(eps=config.eps, dt=segments[0][0], A=config.A))
+    else:  # a snapshot stores no history, so restart flat
+        state = restart_flat(phi0, t=t0)
 
     out_dir = Path(config.output.dir)
     csv_writer = None
-    pending_snaps = list(config.output.snapshot_times)
     taken_snaps: list[float] = []
 
-    def take_snapshots(t: float, phi: Field) -> None:
-        """Write phi once for each pending snapshot time that t has reached."""
-        while pending_snaps and _reached(pending_snaps[0], t):
-            pending_snaps.pop(0)
+    def take_snapshots(state: StepState) -> None:
+        """Write the field once for each snapshot due at this run step."""
+        while snap_steps and snap_steps[0] == state.step_index:
+            snap_steps.pop(0)
             if write_outputs:
                 for fmt in config.output.formats:
                     name = f"snap_{len(taken_snaps):03d}.{fmt}"
-                    write_snapshot(phi, out_dir / name, t, format=fmt)
-            taken_snaps.append(t)
+                    write_snapshot(state.phi_curr, out_dir / name, state.t, format=fmt)
+            taken_snaps.append(state.t)
 
     try:
         if write_outputs:
@@ -425,56 +423,35 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
             t=state.t,
             mass=mean(state.phi_curr),
             E=E0,
-            E_mod=modified_energy(state.phi_curr, state.phi_prev,
-                                  config.schedule[0].dt, plan, E=E0),
+            E_mod=modified_energy(state.phi_curr, state.phi_prev, segments[0][0], plan, E=E0),
             psd_iters=0,
             residual=0.0,
         )
         records = [rec0]
         if csv_writer:
             csv_writer.write(rec0)
-        take_snapshots(state.t, state.phi_curr)
+        take_snapshots(state)
 
         solve_stats: list[SolveStats] = []
-        global_step = 0
-        for seg_index, seg in enumerate(config.schedule):
-            if _reached(seg.t_end, state.t):
-                continue  # segment entirely before a warm start's time
-            if seg_index > 0:
+        for i, (dt, n) in enumerate(segments):
+            if i > 0:
                 # a dt change invalidates the stored history; restart flat
-                state = restart_flat(state.phi_curr, t=state.t, beta0=state.beta0)
-            params = SchemeParams(eps=config.eps, dt=seg.dt, A=config.A)
-            n_steps = max(0, round((seg.t_end - state.t) / seg.dt))
-            for i_step in range(n_steps):
-                state, diag = step(state, params, plan, solver_cfg=config.solver,
-                                   source=source)
-                global_step += 1
+                state = dataclasses.replace(state, phi_prev=state.phi_curr)
+            params = SchemeParams(eps=config.eps, dt=dt, A=config.A)
+            for _ in range(n):
+                state, diag = step(state, params, plan, solver_cfg=config.solver)
                 solve_stats.append(diag.solve)
-                record = dataclasses.replace(diag.record, step=global_step)
-                records.append(record)
-                is_last = seg_index == len(config.schedule) - 1 and i_step == n_steps - 1
-                if csv_writer and (
-                    global_step % config.output.energy_every == 0 or is_last
-                ):
-                    csv_writer.write(record)
-                take_snapshots(state.t, state.phi_curr)
+                records.append(diag.record)
+                k = state.step_index
+                if csv_writer and (k % config.output.energy_every == 0 or k == last_step):
+                    csv_writer.write(diag.record)
+                take_snapshots(state)
     finally:
         if csv_writer:
             csv_writer.close()
 
-    manufactured_errors = None
-    if config.initial.kind == "manufactured":
-        exact = manufactured_solution(config.L)
-        ref = field_from_fn(grid, lambda x, y: exact(x, y, state.t))
-        err = Field(grid, state.phi_curr.values - ref.values)
-        manufactured_errors = (norm_linf(err), norm_l2(err))
-    return RunResult(
-        records=records,
-        state=state,
-        solve_stats=solve_stats,
-        snapshots=taken_snaps,
-        manufactured_errors=manufactured_errors,
-    )
+    return RunResult(records=records, state=state, solve_stats=solve_stats,
+                     snapshots=taken_snaps)
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +471,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"mass={final.mass:.3e}, {len(result.snapshots)} snapshot(s) in "
         f"{config.output.dir}"
     )
-    if result.manufactured_errors is not None:
-        linf, l2 = result.manufactured_errors
-        print(f"reference-solution error at t={final.t:g}: linf={linf:.6e} l2={l2:.6e}")
     return EXIT_OK
 
 
@@ -509,14 +483,26 @@ def cmd_converge(args: argparse.Namespace) -> int:
         raise ConfigError(f"--m-list needs at least 2 grid sizes, each >= 5, got {args.m_list!r}")
     if not (math.isfinite(args.dt_factor) and args.dt_factor > 0):
         raise ConfigError(f"--dt-factor must be positive, got {args.dt_factor!r}")
+    # the coarsest level has the longest step; it must take at least one
+    dt = args.dt_factor * GridSpec(L=CONVERGENCE_L, m=min(m_list)).h ** 2
+    if round(CONVERGENCE_T / dt) < 1:
+        raise ConfigError(
+            f"--dt-factor {args.dt_factor!r} gives m={min(m_list)} dt = {dt!r}, "
+            f"which takes no step to T = {CONVERGENCE_T!r}"
+        )
+    out = Path(args.out)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the directory of --out {out}: {exc}") from exc
+    if out.is_dir():
+        raise ConfigError(f"--out {out} is a directory")
     try:
         report = convergence_study(m_list=m_list, dt_factor=args.dt_factor)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     csv_text = report.to_csv()
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(csv_text, encoding="ascii")
     sys.stdout.write(csv_text)
     for m, level in report.solve_stats.items():

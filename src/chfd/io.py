@@ -69,7 +69,10 @@ def _read_header_line(fh: IO[bytes]) -> str:
         raw += b
         if len(raw) > 256:
             raise SnapshotFormatError("header line too long")
-    return raw.decode("ascii")
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError(f"header is not ASCII: {exc}") from exc
 
 
 def read_snapshot(path: str | os.PathLike) -> tuple[Field, float]:

@@ -49,16 +49,17 @@ class SolverError(RuntimeError):
         self.residuals = residuals
 
 
+# Absolute floor of the stopping test, relative to 1 + |rhs|_2.  Keep it tight:
+# the per-step residual left by the solver acts like a forcing on the time
+# stepper, and for states inside the spinodal band the unstable modes amplify
+# it by e^{sigma*T}, so a loose absolute tolerance puts a dt-independent floor
+# under any convergence study long before the scheme's own accuracy limit.
+_TOL_FLOOR = 1e-15
+
+
 @dataclass(frozen=True)
 class PsdConfig:
     tol_rel: float = 1e-10
-    # Absolute floor for the stopping test.  None picks a near-machine floor,
-    # 1e-15 * (1 + |rhs|_2).  Keep this tight: the per-step residual left by
-    # the solver acts like a forcing on the time stepper, and for states
-    # inside the spinodal band the unstable modes amplify it by e^{sigma*T},
-    # so a loose absolute tolerance puts a dt-independent floor under any
-    # convergence study long before the scheme's own accuracy limit.
-    tol_abs: float | None = None
     max_iter: int = 200
 
     def __post_init__(self) -> None:
@@ -232,7 +233,7 @@ def solve(
     """Minimize the update objective on the mass hyperplane.
 
     Starts from the extrapolation 2 phi_k - phi_km1 and stops when
-    |P0(f - N[phi])|_2 <= tol_abs + tol_rel * |P0 f|_2.  Raises
+    |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + tol_rel |P0 f|_2.  Raises
     :class:`SolverError` (carrying the residual history) on non-convergence.
     """
     if cfg is None:
@@ -247,8 +248,7 @@ def solve(
 
     fvals = rhs.values
     f0 = fvals - fvals.mean()
-    tol_abs = cfg.tol_abs if cfg.tol_abs is not None else 1e-15 * (1.0 + norm_l2(rhs))
-    tol = tol_abs + cfg.tol_rel * float(np.sqrt(hd * np.sum(f0 * f0)))
+    tol = _TOL_FLOOR * (1.0 + norm_l2(rhs)) + cfg.tol_rel * float(np.sqrt(hd * np.sum(f0 * f0)))
 
     lin, F = op.start(state, phi, fvals)
     residuals: list[float] = []

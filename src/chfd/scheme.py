@@ -217,15 +217,13 @@ def ghost_init(phi0: Field, params: SchemeParams, source: Source | None = None) 
     return StepState(phi_prev=phi_m1, phi_curr=phi0.copy(), t=0.0, beta0=mean(phi0), step_index=0)
 
 
-def restart_flat(phi0: Field, t: float = 0.0, beta0: float | None = None) -> StepState:
-    """History with phi_prev = phi_curr = phi0 (used when dt changes mid-run)."""
-    return StepState(
-        phi_prev=phi0.copy(),
-        phi_curr=phi0.copy(),
-        t=t,
-        beta0=mean(phi0) if beta0 is None else beta0,
-        step_index=0,
-    )
+def restart_flat(phi0: Field, t: float = 0.0) -> StepState:
+    """History with phi_prev = phi_curr = phi0 (a warm start from a snapshot).
+
+    Both entries are phi0 itself, as ``step`` shares fields between
+    consecutive states: the stepper never writes into a field.
+    """
+    return StepState(phi_prev=phi0, phi_curr=phi0, t=t, beta0=mean(phi0))
 
 
 def assemble_rhs(

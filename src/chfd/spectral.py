@@ -56,11 +56,9 @@ def make_plan(grid: GridSpec) -> SpectralPlan:
     lam_std = -4.0 * np.sin(np.pi * k / m) ** 2 / h**2
     lam_long = lam_std - (h**2 / 12.0) * lam_std**2
     half = m // 2 + 1
-    lam_half = lam_long[:half].copy()
-    if m % 2 == 0:
-        # index m//2 holds frequency -m/2 in FFT order; symbols are even in k
-        lam_half[-1] = lam_long[m // 2]
-    Lam = -(lam_long[:, None] + lam_half[None, :])
+    # rfft column m//2 of an even m is frequency +m/2, and FFT-order index m//2
+    # holds -m/2: the same value, since the symbols are even in k
+    Lam = -(lam_long[:, None] + lam_long[None, :half])
     Lam[0, 0] = 0.0
     inv = np.zeros_like(Lam)
     np.divide(1.0, Lam, out=inv, where=Lam > 0)

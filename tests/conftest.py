@@ -28,7 +28,7 @@ from chfd import (
     norm_l2,
     precondition_solve,
 )
-from chfd.psd import LineSearchCubic, PsdConfig
+from chfd.psd import _TOL_FLOOR, LineSearchCubic, PsdConfig
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +135,7 @@ def oracle_psd(state, params, rhs: Field, plan, cfg: PsdConfig) -> tuple[np.ndar
     """
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
     f0 = Field(rhs.grid, rhs.values - rhs.values.mean())
-    tol_abs = cfg.tol_abs if cfg.tol_abs is not None else 1e-15 * (1.0 + norm_l2(rhs))
-    tol = tol_abs + cfg.tol_rel * norm_l2(f0)
+    tol = _TOL_FLOOR * (1.0 + norm_l2(rhs)) + cfg.tol_rel * norm_l2(f0)
     for it in range(cfg.max_iter + 1):
         r = oracle_residual(state, params, phi, rhs, plan)
         if norm_l2(r) <= tol:

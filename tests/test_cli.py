@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
+import chfd.cli
 from chfd import Field, GridSpec, field_from_fn, mean, norm_linf
 from chfd.cli import (
     ConfigError,
@@ -18,7 +21,7 @@ from chfd.io import (
     write_snapshot,
 )
 from chfd.rng import random_initial_field, splitmix64, unit_floats
-from chfd.verification import TRUNCATION_CASES, convergence_study
+from chfd.verification import TRUNCATION_CASES
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +117,10 @@ def test_read_snapshot_rejects_garbage(tmp_path):
     q.write_bytes(b"CHF1 8 8 1.0 0.0\n" + b"\x00" * 16)
     with pytest.raises(SnapshotFormatError):
         read_snapshot(q)
+    u = tmp_path / "utf16.chf"
+    u.write_bytes(b"\xff\xfeCHF1 4 4 1.0 0.0\n" + b"\x00" * 128)  # not ASCII
+    with pytest.raises(SnapshotFormatError):
+        read_snapshot(u)
 
 
 def test_pgm_encoding(tmp_path):
@@ -210,6 +217,15 @@ def test_bad_configs_rejected(breakage):
         parse_config(base_config(**breakage))
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).parents[1] / "configs").glob("*.yaml")),
+    ids=lambda p: p.name,
+)
+def test_shipped_configs_load(path):
+    assert load_config(path).schedule
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "c.yaml"
     path.write_text(yaml.safe_dump(base_config()))
@@ -280,6 +296,23 @@ def test_run_resumes_from_snapshot(tmp_path):
     assert read_snapshot(tmp_path / "resume" / "snap_001.chf")[1] == result.snapshots[1]
 
 
+def test_steps_are_numbered_through_a_dt_change(tmp_path):
+    # 5 steps of 0.01, then 2 of 0.02; the repeated time writes two files
+    data = base_config(
+        schedule=[{"dt": 0.01, "t_end": 0.05}, {"dt": 0.02, "t_end": 0.09}],
+        output={"dir": str(tmp_path / "two"), "energy_every": 3,
+                "snapshot_times": [0.03, 0.07, 0.07]},
+    )
+    result = run_simulation(parse_config(data))
+    assert result.state.step_index == 7
+    assert [r.step for r in result.records] == list(range(8))
+    assert result.snapshots == [pytest.approx(0.03), pytest.approx(0.07), pytest.approx(0.07)]
+    rows = (tmp_path / "two" / "energy.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == [0, 3, 6, 7]
+    for i, t in enumerate(result.snapshots):
+        assert read_snapshot(tmp_path / "two" / f"snap_{i:03d}.chf")[1] == t
+
+
 def test_schedule_and_snapshots_on_the_step_lattice_pass():
     cfg = parse_config(base_config(
         schedule=[{"dt": 0.01, "t_end": 0.05}, {"dt": 0.025, "t_end": 0.1}],
@@ -329,21 +362,6 @@ def test_run_rejects_mismatched_snapshot(tmp_path):
         run_simulation(parse_config(data), write_outputs=False)
 
 
-def test_run_manufactured_matches_convergence_study_row():
-    study = convergence_study(m_list=(16, 32))
-    data = {
-        "domain": {"L": 3.2},
-        "grid": {"m": 16},
-        "physics": {"eps": 0.1, "A": 1 / 16},
-        "schedule": [{"dt": 0.25 * 0.2**2, "t_end": 0.32}],
-        "initial": {"kind": "manufactured"},
-    }
-    result = run_simulation(parse_config(data), write_outputs=False)
-    linf, l2 = result.manufactured_errors
-    assert linf == pytest.approx(study.rows[0].error_linf, rel=1e-12)
-    assert l2 == pytest.approx(study.rows[0].error_l2, rel=1e-12)
-
-
 def test_cli_exit_codes(tmp_path):
     # 2: config trouble
     bad = tmp_path / "bad.yaml"
@@ -354,7 +372,7 @@ def test_cli_exit_codes(tmp_path):
     # 3: solver failure (impossible tolerance, one-iteration budget)
     hopeless = tmp_path / "hopeless.yaml"
     hopeless.write_text(yaml.safe_dump(base_config(
-        solver={"max_iter": 1, "tol_rel": 1e-16, "tol_abs": 0.0},
+        solver={"max_iter": 1, "tol_rel": 1e-16},
         initial={"kind": "random", "seed": 1, "amplitude": 0.1},
         output={"dir": str(tmp_path / "h")},
     )))
@@ -410,10 +428,30 @@ def test_converge_subcommand_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["--m-list", "16"], ["--m-list", "4,8"], ["--m-list", "a,b"], ["--dt-factor", "-1"]],
+    [
+        ["--m-list", "16"],
+        ["--m-list", "4,8"],
+        ["--m-list", "a,b"],
+        ["--dt-factor", "-1"],
+        ["--m-list", "8,16", "--dt-factor", "100"],  # m=8 takes no step to T
+    ],
 )
 def test_converge_rejects_bad_arguments(tmp_path, capsys, args):
     assert main(["converge", *args, "--out", str(tmp_path / "c.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_converge_rejects_unusable_out_before_the_study(tmp_path, capsys, monkeypatch):
+    def study(**kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(chfd.cli, "convergence_study", study)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken / "c.csv", tmp_path):  # below a file; a directory
+        assert main(["converge", "--m-list", "16,32", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert str(out) in err

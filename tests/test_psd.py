@@ -241,7 +241,7 @@ def test_residuals_decay_geometrically(problem):
 def test_iteration_budget_exhaustion_raises(problem):
     grid, plan, params, state, rhs = problem
     with pytest.raises(SolverError) as err:
-        solve(state, params, rhs, plan, PsdConfig(max_iter=1, tol_rel=1e-16, tol_abs=0.0))
+        solve(state, params, rhs, plan, PsdConfig(max_iter=1, tol_rel=1e-16))
     assert len(err.value.residuals) == 2
     assert err.value.residuals[-1] > 0.0
 
@@ -250,7 +250,7 @@ def test_solver_error_names_step_time_and_residuals(problem):
     grid, plan, params, state, rhs = problem
     later = StepState(state.phi_prev, state.phi_curr, t=0.37, beta0=state.beta0, step_index=36)
     with pytest.raises(SolverError) as err:
-        solve(later, params, rhs, plan, PsdConfig(max_iter=1, tol_rel=1e-16, tol_abs=0.0))
+        solve(later, params, rhs, plan, PsdConfig(max_iter=1, tol_rel=1e-16))
     message = str(err.value)
     assert "step 37 " in message and "t=0.37" in message and "dt=0.01" in message
     for res in err.value.residuals:

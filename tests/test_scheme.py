@@ -134,10 +134,10 @@ def test_ghost_init_second_order_in_dt():
 
 def test_restart_flat_duplicates_history(grid32):
     phi = random_field(grid32, seed=3)
-    state = restart_flat(phi, t=2.5, beta0=0.125)
+    state = restart_flat(phi, t=2.5)
     assert np.array_equal(state.phi_prev.values, state.phi_curr.values)
-    assert state.t == 2.5 and state.beta0 == 0.125
-    assert restart_flat(phi).beta0 == pytest.approx(mean(phi))
+    assert state.t == 2.5 and state.step_index == 0
+    assert state.beta0 == pytest.approx(mean(phi))
 
 
 # ---------------------------------------------------------------------------
