@@ -37,7 +37,7 @@ from .scheme import (
     NonFiniteStateError,
     SchemeParams,
     StepState,
-    ghost_init,
+    ghost_init,  # not called here: perfbench's traced mode patches chfd.cli.ghost_init
     restart_flat,
     step,
 )
@@ -381,17 +381,15 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
     step, and the final step.  Every segment and snapshot time must sit on the
     step lattice from the initial time (ConfigError otherwise), so a snapshot
     is taken at exactly the step time it names.  Steps are numbered from the
-    initial time through the whole run, across changes of dt.
+    initial time through the whole run, across changes of dt.  Every history
+    starts flat (``restart_flat``): at the initial time and at each dt change.
     """
     grid = GridSpec(L=config.L, m=config.m)
     plan = make_plan(grid)
     phi0, t0 = _initial_field(config, grid)
     segments, snap_steps = _step_plan(config.schedule, t0, config.output.snapshot_times)
     last_step = sum(n for _, n in segments)
-    if config.initial.kind == "random":
-        state = ghost_init(phi0, SchemeParams(eps=config.eps, dt=segments[0][0], A=config.A))
-    else:  # a snapshot stores no history, so restart flat
-        state = restart_flat(phi0, t=t0)
+    state = restart_flat(phi0, t=t0)
 
     out_dir = Path(config.output.dir)
     csv_writer = None
@@ -433,10 +431,9 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
         take_snapshots(state)
 
         solve_stats: list[SolveStats] = []
-        for i, (dt, n) in enumerate(segments):
-            if i > 0:
-                # a dt change invalidates the stored history; restart flat
-                state = dataclasses.replace(state, phi_prev=state.phi_curr)
+        for dt, n in segments:
+            # a history is kept only within one dt; each segment restarts flat
+            state = dataclasses.replace(state, phi_prev=state.phi_curr)
             params = SchemeParams(eps=config.eps, dt=dt, A=config.A)
             for _ in range(n):
                 state, diag = step(state, params, plan, solver_cfg=config.solver)
@@ -520,10 +517,12 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
-        print("--trials must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out directory {out_dir}: {exc}") from exc
     failures: list[str] = []
 
     if args.target in ("truncation", "all"):

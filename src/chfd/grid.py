@@ -17,7 +17,6 @@ __all__ = [
     "Field",
     "GridMismatchError",
     "field_from_fn",
-    "zeros",
     "full",
     "mean",
     "inner_l2",
@@ -78,10 +77,6 @@ class Field:
 def _check_same_grid(f: Field, g: Field) -> None:
     if f.grid != g.grid:
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
-
-
-def zeros(grid: GridSpec) -> Field:
-    return Field(grid, np.zeros(grid.shape))
 
 
 def full(grid: GridSpec, value: float) -> Field:

@@ -205,7 +205,8 @@ def ghost_init(phi0: Field, params: SchemeParams, source: Source | None = None) 
 
     The fictitious previous field is one explicit Euler step backward,
     phi^{-1} = phi^0 - dt (lap4 mu^0 + S^0) with mu^0 = phi^3 - phi - eps^2 lap4 phi,
-    which keeps the overall accuracy at second order in dt.
+    which keeps the overall accuracy at second order in dt on smooth data; on
+    grid-scale noise it blows up, so ``chfd run`` starts from ``restart_flat``.
     """
     plan = make_plan(phi0.grid)
     p0 = phi0.values
@@ -218,7 +219,10 @@ def ghost_init(phi0: Field, params: SchemeParams, source: Source | None = None) 
 
 
 def restart_flat(phi0: Field, t: float = 0.0) -> StepState:
-    """History with phi_prev = phi_curr = phi0 (a warm start from a snapshot).
+    """History with phi_prev = phi_curr = phi0: how every ``chfd run`` starts.
+
+    The modified energy then starts at E(phi0), for any data; the first
+    update moves phi about 2/3 of a BDF2 step, an O(dt) error made once.
 
     Both entries are phi0 itself, as ``step`` shares fields between
     consecutive states: the stepper never writes into a field.

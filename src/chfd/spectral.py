@@ -41,8 +41,7 @@ class SpectralPlan:
     """Precomputed symbol tables for one grid (rfft layout arrays)."""
 
     grid: GridSpec
-    lambda_std: np.ndarray  # (m,) per-axis symbols, FFT frequency order
-    lambda_long: np.ndarray  # (m,)
+    lambda_long: np.ndarray  # (m,) per-axis symbols, FFT frequency order
     Lambda_long: np.ndarray  # -(sum of per-axis lambda_long); (m, m//2+1)
     inv_Lambda: np.ndarray  # 1/Lambda_long with the zero mode set to 0
     mode_weights: np.ndarray  # Parseval multiplicity of each rfft column (1 or 2)
@@ -66,7 +65,7 @@ def make_plan(grid: GridSpec) -> SpectralPlan:
     w[0] = 1.0
     if m % 2 == 0:
         w[-1] = 1.0
-    return SpectralPlan(grid, lam_std, lam_long, Lam, inv, w)
+    return SpectralPlan(grid, lam_long, Lam, inv, w)
 
 
 def _irfft(plan: SpectralPlan, spec: np.ndarray) -> np.ndarray:

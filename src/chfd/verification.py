@@ -390,11 +390,14 @@ def convergence_study(
     if len(m_list) < 2:
         raise ValueError("need at least 2 grid levels for a refinement study")
     L, eps, T, A = CONVERGENCE_L, CONVERGENCE_EPS, CONVERGENCE_T, CONVERGENCE_A
+    grids = [GridSpec(L=L, m=m) for m in m_list]
+    for g in grids:  # a level that takes no step has error 0 and no rate
+        if round(T / (dt_factor * g.h**2)) < 1:
+            raise ValueError(f"m={g.m}: dt = {dt_factor * g.h**2!r} takes no step to T = {T!r}")
     exact = manufactured_solution(L)
     levels = []
     stats: dict[int, list[SolveStats]] = {}
-    for m in m_list:
-        grid = GridSpec(L=L, m=m)
+    for grid in grids:
         dt = dt_factor * grid.h**2
         n_steps = round(T / dt)
         params = SchemeParams(eps=eps, dt=dt, A=A)
@@ -409,7 +412,7 @@ def convergence_study(
         ref = field_from_fn(grid, lambda x, y: exact(x, y, state.t))
         err = Field(grid, state.phi_curr.values - ref.values)
         levels.append((grid.h, norm_l2(err), norm_linf(err)))
-        stats[m] = level_stats
+        stats[grid.m] = level_stats
     return RefinementReport(
         test_name="convergence:reference_solution",
         parameters={

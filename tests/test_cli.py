@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import chfd.cli
 from chfd import Field, GridSpec, field_from_fn, mean, norm_linf
 from chfd.cli import (
     ConfigError,
+    SegmentConfig,
     _reached,
     load_config,
     main,
@@ -217,13 +219,31 @@ def test_bad_configs_rejected(breakage):
         parse_config(base_config(**breakage))
 
 
-@pytest.mark.parametrize(
+shipped_configs = pytest.mark.parametrize(
     "path",
     sorted((Path(__file__).parents[1] / "configs").glob("*.yaml")),
     ids=lambda p: p.name,
 )
+
+
+@shipped_configs
 def test_shipped_configs_load(path):
     assert load_config(path).schedule
+
+
+@shipped_configs
+def test_shipped_configs_take_their_first_steps(path):
+    config = load_config(path)
+    dt = config.schedule[0].dt
+    config = dataclasses.replace(
+        config,
+        schedule=(SegmentConfig(dt=dt, t_end=2 * dt),),
+        output=dataclasses.replace(config.output, snapshot_times=()),
+    )
+    result = run_simulation(config, write_outputs=False)
+    assert result.state.step_index == 2
+    # a cold start's history is flat, so the modified energy starts at E
+    assert result.records[0].E_mod == result.records[0].E
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -396,6 +416,25 @@ def test_run_reports_unusable_files_as_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert str(bad_path) in err
+
+
+def test_verify_rejects_bad_options_before_the_studies(tmp_path, capsys, monkeypatch):
+    def study(*args, **kwargs):
+        raise AssertionError("a study ran")
+
+    for name in ("truncation_study", "symbol_bound_study", "inequality_study"):
+        monkeypatch.setattr(chfd.cli, name, study)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for args, named in [
+        (["--out", str(taken)], str(taken)),  # a file
+        (["--out", str(taken / "sub")], str(taken / "sub")),  # below a file
+        (["--trials", "0"], "--trials"),
+    ]:
+        assert main(["verify", "all", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert named in err
 
 
 def test_verify_subcommand_writes_reports(tmp_path, capsys):

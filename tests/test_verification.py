@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chfd.verification
 from chfd import GridSpec, mean, norm_linf
 from chfd.verification import (
     TRUNCATION_CASES,
@@ -154,3 +155,12 @@ def test_convergence_study_two_levels():
 def test_convergence_study_needs_two_levels():
     with pytest.raises(ValueError):
         convergence_study(m_list=(16,))
+
+
+def test_convergence_study_rejects_a_level_that_takes_no_step(monkeypatch):
+    # dt = 100 h^2 takes round(0.32 / dt) = 0 steps at m = 8 and 16 (1 at m = 64)
+    monkeypatch.setattr(chfd.verification, "step", None)  # no level may run
+    with pytest.raises(ValueError, match="m=8: dt = "):
+        convergence_study(m_list=(8, 16), dt_factor=100)
+    with pytest.raises(ValueError, match="m=16: dt = "):
+        convergence_study(m_list=(64, 16), dt_factor=100)
