@@ -46,7 +46,7 @@ from .scheme import (
     restart_flat,
     step,
 )
-from .psd import PsdConfig, SolverError, SolveStats, UpdateOperator, solve
+from .psd import SolverError, SolveStats, UpdateOperator, solve
 from .diagnostics import EnergyRecord, energy, fit_power_law, modified_energy
 
 __all__ = [
@@ -82,7 +82,6 @@ __all__ = [
     "manufactured_source_stencil",
     "restart_flat",
     "step",
-    "PsdConfig",
     "SolverError",
     "SolveStats",
     "UpdateOperator",

@@ -30,7 +30,7 @@ from . import __version__
 from .diagnostics import EnergyRecord, energy, modified_energy
 from .grid import Field, GridSpec, mean
 from .io import EnergyCsvWriter, read_snapshot, write_snapshot
-from .psd import PsdConfig, SolverError, SolveStats
+from .psd import SolverError, SolveStats
 from .rng import random_initial_field
 from .scheme import (
     MassDriftError,
@@ -43,9 +43,8 @@ from .scheme import (
 )
 from .spectral import make_plan
 from .verification import (
-    CONVERGENCE_L,
-    CONVERGENCE_T,
     TRUNCATION_CASES,
+    check_convergence_arguments,
     convergence_study,
     inequality_study,
     symbol_bound_study,
@@ -114,7 +113,6 @@ class RunConfig:
     A: float
     schedule: tuple[SegmentConfig, ...]
     initial: InitialConfig
-    solver: PsdConfig
     output: OutputConfig
 
 
@@ -273,12 +271,6 @@ def parse_config(data: dict) -> RunConfig:
         path=path,
     )
 
-    solver_sec = _section(data, "solver", {"tol_rel", "max_iter"})
-    if _number(solver_sec, "solver", "tol_rel", PsdConfig.tol_rel) < 0:
-        raise ConfigError(f"'solver.tol_rel' must be nonnegative, got {solver_sec['tol_rel']!r}")
-    _integer(solver_sec, "solver", "max_iter", PsdConfig.max_iter, minimum=1)
-    solver = PsdConfig(**solver_sec)
-
     out_sec = _section(data, "output", {"dir", "energy_every", "snapshot_times", "formats"})
     energy_every = _integer(out_sec, "output", "energy_every", 1, minimum=1)
     snap_times = out_sec.get("snapshot_times", [])
@@ -306,7 +298,7 @@ def parse_config(data: dict) -> RunConfig:
     return RunConfig(
         L=L, m=m, eps=eps, A=A,
         schedule=tuple(segments),
-        initial=initial, solver=solver, output=output,
+        initial=initial, output=output,
     )
 
 
@@ -322,7 +314,11 @@ def load_config(path: str | os.PathLike) -> RunConfig:
 
 
 def _config_echo(config: RunConfig) -> dict:
-    """Plain-data mirror of the effective configuration (defaults filled in)."""
+    """Plain-data mirror of the effective configuration (defaults filled in).
+
+    It is itself a config that ``chfd run`` accepts; ``run_simulation`` puts
+    the code version in a comment line above it.
+    """
     return {
         "domain": {"L": config.L},
         "grid": {"m": config.m},
@@ -331,14 +327,12 @@ def _config_echo(config: RunConfig) -> dict:
         "initial": {
             k: v for k, v in dataclasses.asdict(config.initial).items() if v is not None
         },
-        "solver": dataclasses.asdict(config.solver),
         "output": {
             "dir": config.output.dir,
             "energy_every": config.output.energy_every,
             "snapshot_times": list(config.output.snapshot_times),
             "formats": list(config.output.formats),
         },
-        "version": __version__,
     }
 
 
@@ -410,6 +404,7 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
             try:
                 out_dir.mkdir(parents=True, exist_ok=True)
                 with open(out_dir / "run.yaml", "w", encoding="utf-8") as fh:
+                    fh.write(f"# chfd {__version__}\n")
                     yaml.safe_dump(_config_echo(config), fh, sort_keys=True)
                 csv_writer = EnergyCsvWriter(out_dir / "energy.csv")
             except OSError as exc:
@@ -436,7 +431,7 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
             state = dataclasses.replace(state, phi_prev=state.phi_curr)
             params = SchemeParams(eps=config.eps, dt=dt, A=config.A)
             for _ in range(n):
-                state, diag = step(state, params, plan, solver_cfg=config.solver)
+                state, diag = step(state, params, plan)
                 solve_stats.append(diag.solve)
                 records.append(diag.record)
                 k = state.step_index
@@ -476,17 +471,10 @@ def cmd_converge(args: argparse.Namespace) -> int:
         m_list = [int(s) for s in args.m_list.split(",")]
     except ValueError:
         raise ConfigError(f"--m-list must be comma-separated integers, got {args.m_list!r}") from None
-    if len(m_list) < 2 or min(m_list) < 5:
-        raise ConfigError(f"--m-list needs at least 2 grid sizes, each >= 5, got {args.m_list!r}")
-    if not (math.isfinite(args.dt_factor) and args.dt_factor > 0):
-        raise ConfigError(f"--dt-factor must be positive, got {args.dt_factor!r}")
-    # the coarsest level has the longest step; it must take at least one
-    dt = args.dt_factor * GridSpec(L=CONVERGENCE_L, m=min(m_list)).h ** 2
-    if round(CONVERGENCE_T / dt) < 1:
-        raise ConfigError(
-            f"--dt-factor {args.dt_factor!r} gives m={min(m_list)} dt = {dt!r}, "
-            f"which takes no step to T = {CONVERGENCE_T!r}"
-        )
+    try:  # before --out's directory is made
+        check_convergence_arguments(m_list, args.dt_factor)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -138,9 +138,3 @@ class EnergyCsvWriter:
     def close(self) -> None:
         if not self._fh.closed:
             self._fh.close()
-
-    def __enter__(self) -> "EnergyCsvWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

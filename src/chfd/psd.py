@@ -24,15 +24,17 @@ and then advanced by the exact increment of each line search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import scheme as _scheme
 from .grid import Field, norm_l2
 from .spectral import SpectralPlan, _inv_sigma, _irfft, _quad
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .scheme import SchemeParams, StepState
+
 __all__ = [
-    "PsdConfig",
     "SolveStats",
     "SolverError",
     "LineSearchCubic",
@@ -55,16 +57,10 @@ class SolverError(RuntimeError):
 # it by e^{sigma*T}, so a loose absolute tolerance puts a dt-independent floor
 # under any convergence study long before the scheme's own accuracy limit.
 _TOL_FLOOR = 1e-15
-
-
-@dataclass(frozen=True)
-class PsdConfig:
-    tol_rel: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+# The relative part of the stopping test and the iteration budget.  Fixed: the
+# exact line search leaves the method nothing to tune.
+TOL_REL = 1e-10
+MAX_ITER = 200
 
 
 @dataclass
@@ -165,7 +161,7 @@ class UpdateOperator:
     arrays on ``plan.grid``.
     """
 
-    def __init__(self, plan: SpectralPlan, params: _scheme.SchemeParams):
+    def __init__(self, plan: SpectralPlan, params: SchemeParams):
         grid = plan.grid
         self.plan = plan
         self.dt = params.dt
@@ -175,7 +171,7 @@ class UpdateOperator:
         self.inv_sigma = _inv_sigma(plan, params.dt, params.eps, params.A)
 
     def start(
-        self, state: _scheme.StepState, phi: np.ndarray, f: np.ndarray
+        self, state: StepState, phi: np.ndarray, f: np.ndarray
     ) -> tuple[np.ndarray, float]:
         """Lin at phi (one transform pair) and the objective F[phi]."""
         plan, hd = self.plan, self.hd
@@ -224,20 +220,18 @@ class UpdateOperator:
 
 
 def solve(
-    state: _scheme.StepState,
-    params: _scheme.SchemeParams,
+    state: StepState,
+    params: SchemeParams,
     rhs: Field,
     plan: SpectralPlan,
-    cfg: PsdConfig | None = None,
 ) -> tuple[Field, SolveStats]:
     """Minimize the update objective on the mass hyperplane.
 
     Starts from the extrapolation 2 phi_k - phi_km1 and stops when
-    |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + tol_rel |P0 f|_2.  Raises
-    :class:`SolverError` (carrying the residual history) on non-convergence.
+    |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + TOL_REL |P0 f|_2, within
+    MAX_ITER iterations.  Raises :class:`SolverError` (carrying the residual
+    history) on non-convergence.
     """
-    if cfg is None:
-        cfg = PsdConfig()
     grid = state.phi_curr.grid
     if rhs.grid != grid:
         raise ValueError("rhs grid does not match state grid")
@@ -248,13 +242,13 @@ def solve(
 
     fvals = rhs.values
     f0 = fvals - fvals.mean()
-    tol = _TOL_FLOOR * (1.0 + norm_l2(rhs)) + cfg.tol_rel * float(np.sqrt(hd * np.sum(f0 * f0)))
+    tol = _TOL_FLOOR * (1.0 + norm_l2(rhs)) + TOL_REL * float(np.sqrt(hd * np.sum(f0 * f0)))
 
     lin, F = op.start(state, phi, fvals)
     residuals: list[float] = []
     objectives: list[float] = []
 
-    for it in range(cfg.max_iter + 1):
+    for it in range(MAX_ITER + 1):
         n = op.N(lin, phi)
         r = np.subtract(fvals, n, out=n)
         r -= r.mean()
@@ -263,7 +257,7 @@ def solve(
         objectives.append(F)
         if rnorm <= tol:
             return Field(grid, phi), SolveStats(it, residuals, objectives)
-        if it == cfg.max_iter:
+        if it == MAX_ITER:
             break
         d, sd = op.direction(r)
         cubic = op.cubic(phi, r, d, sd)
@@ -277,7 +271,7 @@ def solve(
     tail = ", ".join(f"{v:.3e}" for v in residuals[-4:])
     raise SolverError(
         f"step {state.step_index + 1} (t={state.t:.6g}, dt={params.dt:.6g}): "
-        f"no convergence in {cfg.max_iter} iterations; last residuals [{tail}], "
+        f"no convergence in {MAX_ITER} iterations; last residuals [{tail}], "
         f"tolerance {tol:.3e}",
         residuals,
     )

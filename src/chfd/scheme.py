@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, TYPE_CHECKING
+from typing import Callable
 
 import numpy as np
 
+from . import psd as _psd
 from .diagnostics import EnergyRecord, energy, modified_energy
 from .grid import Field, GridSpec, field_from_fn, mean
 from .operators import laplace_long
@@ -49,9 +50,6 @@ from .spectral import (
     laplace_long_spectral,
     make_plan,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .psd import PsdConfig, SolveStats
 
 __all__ = [
     "SchemeParams",
@@ -121,7 +119,7 @@ Source = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 @dataclass(frozen=True)
 class StepDiagnostics:
     record: EnergyRecord
-    solve: "SolveStats"
+    solve: _psd.SolveStats
 
 
 def manufactured_solution(L: float) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
@@ -263,14 +261,12 @@ def step(
     state: StepState,
     params: SchemeParams,
     plan: SpectralPlan,
-    solver_cfg: "PsdConfig | None" = None,
     source: Source | None = None,
 ) -> tuple[StepState, StepDiagnostics]:
     """Advance one time step; returns the new state and its diagnostics."""
-    from .psd import PsdConfig, solve  # deferred: psd imports this module
-
     rhs = assemble_rhs(state, params, plan, source)
-    phi_new, stats = solve(state, params, rhs, plan, solver_cfg or PsdConfig())
+    # through the module attribute, so a wrapper patched onto chfd.psd.solve runs
+    phi_new, stats = _psd.solve(state, params, rhs, plan)
     if not np.all(np.isfinite(phi_new.values)):
         raise NonFiniteStateError(f"non-finite field after step {state.step_index + 1}")
     new_mass = mean(phi_new)

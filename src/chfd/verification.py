@@ -49,6 +49,7 @@ __all__ = [
     "InequalityReport",
     "inequality_study",
     "random_trig_field",
+    "check_convergence_arguments",
     "convergence_study",
 ]
 
@@ -180,21 +181,21 @@ TRUNCATION_CASES = tuple(_builtin_cases(1.0))
 
 
 def truncation_study(
-    case: TruncationCase | str,
+    case: str,
     m_list: Sequence[int] = (32, 64, 128, 256),
     L: float = 1.0,
 ) -> RefinementReport:
     """Defect of the long-stencil operator against the analytic derivative.
 
-    For each m: tau = (discrete op applied to sampled f) - (sampled analytic
-    value); reports both norms of tau and the halving rates.
+    ``case`` names one of ``TRUNCATION_CASES``.  For each m: tau = (discrete
+    op applied to sampled f) - (sampled analytic value); reports both norms of
+    tau and the halving rates.
     """
-    if isinstance(case, str):
-        try:
-            case = _builtin_cases(L)[case]
-        except KeyError:
-            raise ValueError(f"unknown truncation case {case!r}; "
-                             f"built-ins: {sorted(TRUNCATION_CASES)}") from None
+    try:
+        case = _builtin_cases(L)[case]
+    except KeyError:
+        raise ValueError(f"unknown truncation case {case!r}; "
+                         f"built-ins: {sorted(TRUNCATION_CASES)}") from None
     if len(m_list) < 2:
         raise ValueError("need at least 2 grid levels for a refinement study")
     levels = []
@@ -204,10 +205,8 @@ def truncation_study(
         ref = field_from_fn(grid, case.reference)
         if case.kind == "laplace":
             tau = Field(grid, laplace_long(f).values - ref.values)
-        elif case.kind == "d1":
-            tau = Field(grid, d1_long(f, axis=0).values - ref.values)
         else:
-            raise ValueError(f"unknown case kind {case.kind!r}")
+            tau = Field(grid, d1_long(f, axis=0).values - ref.values)
         levels.append((grid.h, norm_l2(tau), norm_linf(tau)))
     return RefinementReport(
         test_name=f"truncation:{case.name}",
@@ -369,6 +368,26 @@ CONVERGENCE_T = 0.32
 CONVERGENCE_A = 1.0 / 16.0
 
 
+def check_convergence_arguments(m_list: Sequence[int], dt_factor: float) -> None:
+    """Raise ValueError unless ``convergence_study(m_list, dt_factor)`` can run.
+
+    It needs at least 2 grid sizes, each an integer >= 5, a finite positive
+    dt_factor, and at least one step on every level: a level that takes no
+    step has error 0 and no rate.
+    """
+    if len(m_list) < 2:
+        raise ValueError(f"need at least 2 grid sizes for a refinement study, got {list(m_list)!r}")
+    if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 5
+               for m in m_list):
+        raise ValueError(f"grid sizes must be integers >= 5, got {list(m_list)!r}")
+    if not (math.isfinite(dt_factor) and dt_factor > 0):
+        raise ValueError(f"dt_factor must be finite and positive, got {dt_factor!r}")
+    for m in m_list:
+        dt = dt_factor * GridSpec(L=CONVERGENCE_L, m=m).h ** 2
+        if round(CONVERGENCE_T / dt) < 1:
+            raise ValueError(f"m={m}: dt = {dt!r} takes no step to T = {CONVERGENCE_T!r}")
+
+
 def convergence_study(
     m_list: Sequence[int] = (16, 32, 64, 128),
     dt_factor: float = 0.25,
@@ -385,19 +404,15 @@ def convergence_study(
     resolution-independent factor; see ``manufactured_source_stencil``).
 
     The report carries per-level ``solve_stats`` so solver behavior over the
-    run is inspectable.
+    run is inspectable.  Arguments are checked by
+    :func:`check_convergence_arguments` before the first level runs.
     """
-    if len(m_list) < 2:
-        raise ValueError("need at least 2 grid levels for a refinement study")
+    check_convergence_arguments(m_list, dt_factor)
     L, eps, T, A = CONVERGENCE_L, CONVERGENCE_EPS, CONVERGENCE_T, CONVERGENCE_A
-    grids = [GridSpec(L=L, m=m) for m in m_list]
-    for g in grids:  # a level that takes no step has error 0 and no rate
-        if round(T / (dt_factor * g.h**2)) < 1:
-            raise ValueError(f"m={g.m}: dt = {dt_factor * g.h**2!r} takes no step to T = {T!r}")
     exact = manufactured_solution(L)
     levels = []
     stats: dict[int, list[SolveStats]] = {}
-    for grid in grids:
+    for grid in (GridSpec(L=L, m=m) for m in m_list):
         dt = dt_factor * grid.h**2
         n_steps = round(T / dt)
         params = SchemeParams(eps=eps, dt=dt, A=A)

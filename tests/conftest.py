@@ -28,7 +28,8 @@ from chfd import (
     norm_l2,
     precondition_solve,
 )
-from chfd.psd import _TOL_FLOOR, LineSearchCubic, PsdConfig
+import chfd.psd
+from chfd.psd import _TOL_FLOOR, LineSearchCubic
 
 
 # ---------------------------------------------------------------------------
@@ -128,21 +129,22 @@ def oracle_cubic(state, params, phi: np.ndarray, d: Field, rhs: Field, plan) -> 
     )
 
 
-def oracle_psd(state, params, rhs: Field, plan, cfg: PsdConfig) -> tuple[np.ndarray, int]:
+def oracle_psd(state, params, rhs: Field, plan) -> tuple[np.ndarray, int]:
     """Steepest descent from the extrapolated guess, built from the oracles above.
 
-    Same stopping rule as ``chfd.psd.solve``; returns (phi, iterations).
+    Same stopping rule as ``chfd.psd.solve``, read from the same (possibly
+    monkeypatched) constants; returns (phi, iterations).
     """
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
     f0 = Field(rhs.grid, rhs.values - rhs.values.mean())
-    tol = _TOL_FLOOR * (1.0 + norm_l2(rhs)) + cfg.tol_rel * norm_l2(f0)
-    for it in range(cfg.max_iter + 1):
+    tol = _TOL_FLOOR * (1.0 + norm_l2(rhs)) + chfd.psd.TOL_REL * norm_l2(f0)
+    for it in range(chfd.psd.MAX_ITER + 1):
         r = oracle_residual(state, params, phi, rhs, plan)
         if norm_l2(r) <= tol:
             return phi, it
         d = precondition_solve(plan, r, params.dt, params.eps, params.A)
         phi = phi + oracle_cubic(state, params, phi, d, rhs, plan).root() * d.values
-    raise RuntimeError(f"oracle loop did not converge in {cfg.max_iter} iterations")
+    raise RuntimeError(f"oracle loop did not converge in {chfd.psd.MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 import chfd.cli
+import chfd.psd
 from chfd import Field, GridSpec, field_from_fn, mean, norm_linf
 from chfd.cli import (
     ConfigError,
@@ -171,7 +172,6 @@ def test_defaults_are_filled_in():
     assert cfg.A == pytest.approx(1 / 16)
     assert cfg.initial.kind == "random"
     assert cfg.initial.amplitude == 0.1
-    assert cfg.solver.tol_rel == 1e-10
     assert cfg.output.energy_every == 1
     assert cfg.output.formats == ("chf",)
 
@@ -191,14 +191,11 @@ def test_defaults_are_filled_in():
         {"initial": {"amplitude": -1.0}},
         {"initial": {"kind": "file"}},  # path required
         {"initial": {"path": "x.chf"}},  # path without kind: file
-        {"solver": {"tool_rel": 1e-9}},  # typo key
-        {"solver": {"init_guess": "previous"}},  # removed knobs are unknown keys
+        {"solver": {"tol_rel": 1e-9}},  # the PSD settings are fixed: no such section
         {"output": {"energy_every": 0}},
         {"output": {"formats": ["bmp"]}},
         {"output": {"snapshot_times": ["soon"]}},
         {"mystery": {}},
-        {"solver": {"precond_power": 1}},
-        {"solver": {"track_objective": True}},
         {"schedule": [{"dt": 0.03, "t_end": 0.1}]},  # 3.33 steps
         {"schedule": [{"dt": 0.01, "t_end": 0.05}, {"dt": 0.02, "t_end": 0.1}]},  # 2.5 steps
         {"output": {"snapshot_times": [0.025]}},  # between steps
@@ -207,16 +204,21 @@ def test_defaults_are_filled_in():
         {"physics": {"eps": -0.1}},
         {"physics": {"eps": float("nan")}},  # non-finite
         {"domain": {"L": -1}},
-        {"solver": {"max_iter": 2.5}},
-        {"solver": {"tol_rel": "abc"}},
-        {"solver": {"tol_rel": -1}},
-        {"solver": {"tol_abs": float("inf")}},
         {"initial": {"seed": True}},
+        {"domain": [12.8]},  # a section that is not a mapping
+        {"physics": {"eps": 0.1, "A": "big"}},
+        {"schedule": [{"dt": 0.01, "t_end": 0.05, "n": 5}]},  # extra segment key
+        {"schedule": [{"dt": 0.01, "t_end": 0.0}]},  # a cold start already at the end
+        {"output": {"formats": []}},
+        {"output": {"snapshot_times": 0.03}},  # not a list
+        {"initial": {"kind": "file", "path": 3}},  # path not a string
     ],
 )
 def test_bad_configs_rejected(breakage):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         parse_config(base_config(**breakage))
+    if "solver" in breakage:
+        assert "unknown top-level section(s): solver" in str(err.value)
 
 
 shipped_configs = pytest.mark.parametrize(
@@ -297,6 +299,27 @@ def test_run_end_to_end_and_deterministic(tmp_path, capsys):
     assert np.array_equal(snap0.values, expected0.values)
     _, t1 = read_snapshot(out_a / "snap_001.chf")
     assert t1 == pytest.approx(0.03)
+
+
+def test_run_yaml_is_a_config_that_reruns_the_run(tmp_path):
+    cfg_a, out_a = run_config(tmp_path, "a")
+    assert main(["run", str(cfg_a)]) == 0
+    echo = (out_a / "run.yaml").read_text()
+    assert echo.startswith(f"# chfd {chfd.__version__}\n")
+    data = yaml.safe_load(echo)
+    data["output"]["dir"] = str(tmp_path / "b")
+    (tmp_path / "b.yaml").write_text(yaml.safe_dump(data))
+    assert main(["run", str(tmp_path / "b.yaml")]) == 0
+    names = sorted(p.name for p in out_a.iterdir() if p.name != "run.yaml")
+    assert names == ["energy.csv", "snap_000.chf", "snap_000.pgm", "snap_001.chf", "snap_001.pgm"]
+    for name in names:
+        assert (out_a / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_readme_config_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    parse_config(yaml.safe_load(block))
 
 
 def test_run_resumes_from_snapshot(tmp_path):
@@ -382,7 +405,7 @@ def test_run_rejects_mismatched_snapshot(tmp_path):
         run_simulation(parse_config(data), write_outputs=False)
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch):
     # 2: config trouble
     bad = tmp_path / "bad.yaml"
     bad.write_text("grid: {m: 16}\n")  # schedule missing
@@ -390,9 +413,10 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
     assert main(["verify", "all", "--trials", "0"]) == 2
     # 3: solver failure (impossible tolerance, one-iteration budget)
+    monkeypatch.setattr(chfd.psd, "MAX_ITER", 1)
+    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-16)
     hopeless = tmp_path / "hopeless.yaml"
     hopeless.write_text(yaml.safe_dump(base_config(
-        solver={"max_iter": 1, "tol_rel": 1e-16},
         initial={"kind": "random", "seed": 1, "amplitude": 0.1},
         output={"dir": str(tmp_path / "h")},
     )))

@@ -12,10 +12,10 @@ from chfd import (
     norm_l2,
     precondition_solve,
 )
+import chfd.psd
 from chfd.grid import full
 from chfd.psd import (
     LineSearchCubic,
-    PsdConfig,
     SolverError,
     UpdateOperator,
     solve,
@@ -103,11 +103,11 @@ def test_operator_matches_stencil_oracles(problem):
                    oracle_N(state, params, phi + alpha * d, plan)) <= 1e-12
 
 
-def test_solve_matches_oracle_psd_loop(problem):
+def test_solve_matches_oracle_psd_loop(problem, monkeypatch):
     grid, plan, params, state, rhs = problem
-    cfg = PsdConfig(tol_rel=1e-12)
-    phi, stats = solve(state, params, rhs, plan, cfg)
-    phi_oracle, iterations = oracle_psd(state, params, rhs, plan, cfg)
+    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-12)
+    phi, stats = solve(state, params, rhs, plan)
+    phi_oracle, iterations = oracle_psd(state, params, rhs, plan)
     assert stats.iterations == iterations
     assert np.max(np.abs(phi.values - phi_oracle)) <= 1e-12
 
@@ -198,10 +198,10 @@ def test_solver_at_equilibrium_returns_immediately():
     assert np.allclose(phi.values, -1.0, atol=1e-13)
 
 
-def test_solver_reaches_tolerance_and_reports_true_residual(problem):
+def test_solver_reaches_tolerance_and_reports_true_residual(problem, monkeypatch):
     grid, plan, params, state, rhs = problem
-    cfg = PsdConfig(tol_rel=1e-11)
-    phi, stats = solve(state, params, rhs, plan, cfg)
+    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-11)
+    phi, stats = solve(state, params, rhs, plan)
     # returned phi is on the mass hyperplane
     assert mean(phi) == pytest.approx(state.beta0, abs=1e-13)
     # the solver's residual equals the oracle's at the solution, up to the
@@ -210,7 +210,7 @@ def test_solver_reaches_tolerance_and_reports_true_residual(problem):
     n_scale = norm_l2(Field(grid, oracle_N(state, params, phi.values, plan)))
     assert stats.residuals[-1] == pytest.approx(r_oracle, rel=0, abs=1e-14 * n_scale)
     f0 = rhs.values - rhs.values.mean()
-    tol = 1e-15 * (1 + norm_l2(rhs)) + cfg.tol_rel * norm_l2(Field(grid, f0))
+    tol = 1e-15 * (1 + norm_l2(rhs)) + 1e-11 * norm_l2(Field(grid, f0))
     assert stats.residuals[-1] <= tol
     # N[phi] = f holds up to that tolerance
     gap = oracle_N(state, params, phi.values, plan) - rhs.values
@@ -238,28 +238,30 @@ def test_residuals_decay_geometrically(problem):
     assert all(rt < 1.0 for rt in ratios)
 
 
-def test_iteration_budget_exhaustion_raises(problem):
+@pytest.fixture
+def one_iteration(monkeypatch):
+    """A budget of one iteration toward a tolerance it cannot reach."""
+    monkeypatch.setattr(chfd.psd, "MAX_ITER", 1)
+    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-16)
+
+
+def test_iteration_budget_exhaustion_raises(problem, one_iteration):
     grid, plan, params, state, rhs = problem
     with pytest.raises(SolverError) as err:
-        solve(state, params, rhs, plan, PsdConfig(max_iter=1, tol_rel=1e-16))
+        solve(state, params, rhs, plan)
     assert len(err.value.residuals) == 2
     assert err.value.residuals[-1] > 0.0
 
 
-def test_solver_error_names_step_time_and_residuals(problem):
+def test_solver_error_names_step_time_and_residuals(problem, one_iteration):
     grid, plan, params, state, rhs = problem
     later = StepState(state.phi_prev, state.phi_curr, t=0.37, beta0=state.beta0, step_index=36)
     with pytest.raises(SolverError) as err:
-        solve(later, params, rhs, plan, PsdConfig(max_iter=1, tol_rel=1e-16))
+        solve(later, params, rhs, plan)
     message = str(err.value)
     assert "step 37 " in message and "t=0.37" in message and "dt=0.01" in message
     for res in err.value.residuals:
         assert f"{res:.3e}" in message
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PsdConfig(max_iter=0)
 
 
 def test_rhs_grid_mismatch_rejected(problem):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import chfd.cli
+import chfd.psd
 from chfd import (
     Field,
     GridSpec,
@@ -20,7 +22,6 @@ from chfd import (
     step,
 )
 from chfd.grid import full
-from chfd.psd import PsdConfig
 from chfd.scheme import SchemeParams, StepState, sample_source
 
 from conftest import random_field
@@ -265,7 +266,7 @@ def test_objective_is_convex_along_mean_zero_lines():
 # stepping
 
 
-def test_step_satisfies_update_equation_strong_form():
+def test_step_satisfies_update_equation_strong_form(monkeypatch):
     """Undo the inverse-Laplacian mapping and check the update as printed:
     (3 phi - 4 phi_k + phi_km1) / (2 dt)
       = lap4[phi^3 - (2 phi_k - phi_km1) - eps^2 lap4 phi - A dt lap4 (phi - phi_k)] + S.
@@ -278,7 +279,8 @@ def test_step_satisfies_update_equation_strong_form():
     src = manufactured_source_stencil(eps, grid)
     params = SchemeParams(eps=eps, dt=dt, A=A)
     state = ghost_init(phi0, params, source=src)
-    new, _ = step(state, params, plan, PsdConfig(tol_rel=1e-12), source=src)
+    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-12)
+    new, _ = step(state, params, plan, source=src)
 
     phi = new.phi_curr.values
     lhs = (3 * phi - 4 * state.phi_curr.values + state.phi_prev.values) / (2 * dt)
@@ -338,6 +340,27 @@ def test_stepper_applies_lap4_without_stencil_rolls(grid32, monkeypatch):
     state, diag = step(state, params, plan)
     assert state.step_index == 1
     assert np.isfinite(diag.record.E_mod) and diag.record.E_mod >= diag.record.E
+
+
+def test_step_reaches_the_solver_through_the_psd_module(grid32, monkeypatch):
+    """A wrapper patched onto chfd.psd.solve sees every solve of a step and a run."""
+    calls = []
+    solve = chfd.psd.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(chfd.psd, "solve", counting)
+    params = SchemeParams(eps=0.1, dt=0.01)
+    step(restart_flat(Field(grid32, 0.2 * random_field(grid32, 53).values)), params,
+         make_plan(grid32))
+    assert len(calls) == 1
+    config = chfd.cli.parse_config({
+        "grid": {"m": 16}, "physics": {"eps": 0.1}, "schedule": [{"dt": 0.01, "t_end": 0.01}],
+    })
+    chfd.cli.run_simulation(config, write_outputs=False)
+    assert len(calls) == 2
 
 
 def test_pure_phase_is_an_equilibrium():

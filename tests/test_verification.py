@@ -159,8 +159,17 @@ def test_convergence_study_needs_two_levels():
 
 def test_convergence_study_rejects_a_level_that_takes_no_step(monkeypatch):
     # dt = 100 h^2 takes round(0.32 / dt) = 0 steps at m = 8 and 16 (1 at m = 64)
-    monkeypatch.setattr(chfd.verification, "step", None)  # no level may run
+    def no_step(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(chfd.verification, "step", no_step)
     with pytest.raises(ValueError, match="m=8: dt = "):
         convergence_study(m_list=(8, 16), dt_factor=100)
     with pytest.raises(ValueError, match="m=16: dt = "):
         convergence_study(m_list=(64, 16), dt_factor=100)
+    with pytest.raises(ValueError, match="dt_factor must be finite and positive"):
+        convergence_study(m_list=(16, 32), dt_factor=0.0)
+    with pytest.raises(ValueError, match="dt_factor must be finite and positive"):
+        convergence_study(m_list=(16, 32), dt_factor=float("nan"))
+    with pytest.raises(ValueError, match="integers >= 5"):
+        convergence_study(m_list=(32, 4))
