@@ -1,17 +1,17 @@
 """Command-line front end: config parsing, run orchestration, reports.
 
-Three subcommands:
+Two subcommands:
 
 * ``chfd run CONFIG.yaml`` — advance random data or a snapshot through its
   time-step schedule, streaming the energy CSV and writing field snapshots;
   steps are planned once and numbered through the whole run.
-* ``chfd converge`` — the refinement study of the forced reference problem
-  (Table-style CSV).
-* ``chfd verify {truncation,symbols,inequalities,all}`` — operator-level
-  studies with hard pass/fail assertions.
+* ``chfd verify {truncation,symbols,inequalities,convergence,all}`` — the
+  operator-level studies and the refinement study of the forced reference
+  problem, each at fixed inputs, writing CSVs to ``--out`` and gating the
+  results.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 solver failure,
-4 verification assertion failure.
+Exit codes: 0 success, 2 configuration/usage error, 3 solver failure (any
+subcommand), 4 verification assertion failure.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .scheme import (
 from .spectral import make_plan
 from .verification import (
     TRUNCATION_CASES,
-    check_convergence_arguments,
     convergence_study,
     inequality_study,
     symbol_bound_study,
@@ -59,7 +58,6 @@ __all__ = [
     "run_simulation",
     "RunResult",
     "cmd_run",
-    "cmd_converge",
     "cmd_verify",
     "main",
 ]
@@ -68,6 +66,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
+
+# The keys of the initial section that each kind uses, besides kind itself.
+_INITIAL_KEYS = {"random": ("mean", "amplitude", "seed"), "file": ("path",)}
 
 # Two times closer than this, relative to max(1, |t|), are the same step time;
 # it covers the rounding that t = t + dt accumulates over a long run.
@@ -233,6 +234,8 @@ def parse_config(data: dict) -> RunConfig:
     if eps <= 0:
         raise ConfigError(f"'physics.eps' must be positive, got {eps!r}")
     A = float(_number(physics, "physics", "A", 1.0 / 16.0))
+    if A < 0:
+        raise ConfigError(f"'physics.A' must be nonnegative, got {A!r}")
 
     raw_schedule = data.pop("schedule", None)
     if not isinstance(raw_schedule, list) or not raw_schedule:
@@ -252,8 +255,13 @@ def parse_config(data: dict) -> RunConfig:
 
     init_sec = _section(data, "initial", {"kind", "mean", "amplitude", "seed", "path"})
     kind = init_sec.get("kind", "random")
-    if kind not in ("random", "file"):
+    if kind not in _INITIAL_KEYS:
         raise ConfigError(f"'initial.kind' must be random or file, got {kind!r}")
+    stray = set(init_sec) - {"kind", *_INITIAL_KEYS[kind]}
+    if stray:
+        raise ConfigError(
+            f"initial.kind {kind} does not use the key(s) {', '.join(sorted(stray))}"
+        )
     amplitude = float(_number(init_sec, "initial", "amplitude", 0.1))
     if amplitude < 0:
         raise ConfigError("'initial.amplitude' must be nonnegative")
@@ -261,8 +269,6 @@ def parse_config(data: dict) -> RunConfig:
     path = init_sec.get("path")
     if kind == "file" and not isinstance(path, str):
         raise ConfigError("'initial.path' is required when initial.kind is file")
-    if kind != "file" and path is not None:
-        raise ConfigError("'initial.path' is only meaningful with initial.kind: file")
     initial = InitialConfig(
         kind=kind,
         mean=float(_number(init_sec, "initial", "mean", 0.0)),
@@ -325,7 +331,7 @@ def _config_echo(config: RunConfig) -> dict:
         "physics": {"eps": config.eps, "A": config.A},
         "schedule": [{"dt": s.dt, "t_end": s.t_end} for s in config.schedule],
         "initial": {
-            k: v for k, v in dataclasses.asdict(config.initial).items() if v is not None
+            k: getattr(config.initial, k) for k in ("kind", *_INITIAL_KEYS[config.initial.kind])
         },
         "output": {
             "dir": config.output.dir,
@@ -452,11 +458,7 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    try:
-        result = run_simulation(config)
-    except (SolverError, NonFiniteStateError, MassDriftError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    result = run_simulation(config)
     final = result.records[-1]
     print(
         f"done: {final.step} steps to t={final.t:g}; E={final.E:.6g}, "
@@ -466,46 +468,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_converge(args: argparse.Namespace) -> int:
-    try:
-        m_list = [int(s) for s in args.m_list.split(",")]
-    except ValueError:
-        raise ConfigError(f"--m-list must be comma-separated integers, got {args.m_list!r}") from None
-    try:  # before --out's directory is made
-        check_convergence_arguments(m_list, args.dt_factor)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create the directory of --out {out}: {exc}") from exc
-    if out.is_dir():
-        raise ConfigError(f"--out {out} is a directory")
-    try:
-        report = convergence_study(m_list=m_list, dt_factor=args.dt_factor)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    csv_text = report.to_csv()
-    out.write_text(csv_text, encoding="ascii")
-    sys.stdout.write(csv_text)
-    for m, level in report.solve_stats.items():
-        iters = [s.iterations for s in level]
-        print(f"m={m}: psd iterations/step mean {sum(iters) / len(iters):.1f}, "
-              f"max {max(iters)}", file=sys.stderr)
-    ok = all(
-        3.8 <= r <= 4.1 for pair in report.finest_rates(2) for r in pair
-    )
-    if not ok:
-        print("convergence rates outside [3.8, 4.1]", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -540,13 +503,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.target in ("inequalities", "all"):
         for m in (32, 64):
             grid = GridSpec(L=12.8, m=m)
-            report = inequality_study(grid, n_trials=args.trials, rng_seed=args.seed)
+            report = inequality_study(grid, n_trials=200, rng_seed=0)
             (out_dir / f"inequalities_m{m}.csv").write_text(report.to_csv(), encoding="ascii")
-            line = f"inequalities m={m}: {report.violations} violation(s) in {args.trials} trials"
+            line = (f"inequalities m={m}: {report.violations} violation(s) in "
+                    f"{report.n_trials} trials")
             if report.violations == 0:
                 print(line + " [ok]")
             else:
                 failures.append(line)
+
+    if args.target in ("convergence", "all"):
+        report = convergence_study()
+        (out_dir / "convergence.csv").write_text(report.to_csv(), encoding="ascii")
+        for m, level in report.solve_stats.items():
+            iters = [s.iterations for s in level]
+            print(f"m={m}: psd iterations/step mean {sum(iters) / len(iters):.1f}, "
+                  f"max {max(iters)}")
+        rates = [r for pair in report.finest_rates(2) for r in pair]
+        line = "convergence: finest rates " + ", ".join(f"{r:.3f}" for r in rates)
+        if all(3.8 <= r <= 4.1 for r in rates):
+            print(line + " [ok]")
+        else:
+            failures.append(line)
 
     for line in failures:
         print("FAIL " + line, file=sys.stderr)
@@ -565,19 +543,9 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config", help="YAML configuration file")
     p_run.set_defaults(fn=cmd_run)
 
-    p_conv = sub.add_parser("converge", help="time-stepper refinement study")
-    p_conv.add_argument("--m-list", default="16,32,64,128",
-                        help="comma-separated grid sizes (default 16,32,64,128)")
-    p_conv.add_argument("--dt-factor", type=float, default=0.25,
-                        help="dt = dt_factor * h^2 (default 0.25)")
-    p_conv.add_argument("--out", default="out/converge.csv", help="CSV output path")
-    p_conv.set_defaults(fn=cmd_converge)
-
-    p_ver = sub.add_parser("verify", help="operator-level verification studies")
-    p_ver.add_argument("target", choices=("truncation", "symbols", "inequalities", "all"))
-    p_ver.add_argument("--trials", type=int, default=200,
-                       help="random trials for the inequality study (default 200)")
-    p_ver.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p_ver = sub.add_parser("verify", help="verification studies at fixed inputs")
+    p_ver.add_argument("target",
+                       choices=("truncation", "symbols", "inequalities", "convergence", "all"))
     p_ver.add_argument("--out", default="out", help="report directory (default out)")
     p_ver.set_defaults(fn=cmd_verify)
 
@@ -587,6 +555,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (SolverError, NonFiniteStateError, MassDriftError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

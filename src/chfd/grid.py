@@ -7,6 +7,7 @@ integrals are plain midpoint quadrature, so the L2 pairing is
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,8 +39,8 @@ class GridSpec:
     m: int
 
     def __post_init__(self) -> None:
-        if self.L <= 0:
-            raise ValueError(f"domain size must be positive, got L={self.L}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"domain size must be finite and positive, got L={self.L}")
         if not isinstance(self.m, int) or self.m < 2:
             raise ValueError(f"need at least 2 cells per axis, got m={self.m}")
 

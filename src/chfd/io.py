@@ -12,6 +12,7 @@ identical file.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import IO
 
@@ -88,6 +89,11 @@ def read_snapshot(path: str | os.PathLike) -> tuple[Field, float]:
             raise SnapshotFormatError(f"bad header fields in {path}: {parts[1:]}") from exc
         if mx != my:
             raise SnapshotFormatError(f"non-square snapshot {mx}x{my} not supported")
+        if mx < 2 or not (math.isfinite(L) and L > 0) or not math.isfinite(t):
+            raise SnapshotFormatError(
+                f"bad header values in {path}: need m >= 2, finite L > 0 and finite t, "
+                f"got m={mx}, L={L!r}, t={t!r}"
+            )
         payload = fh.read(mx * my * 8)
         if len(payload) != mx * my * 8:
             raise SnapshotFormatError(f"truncated payload in {path}")

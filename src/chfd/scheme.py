@@ -93,6 +93,8 @@ class SchemeParams:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.A < 0:  # A dt + eps^2 < 0 can make the update objective nonconvex
+            raise ValueError(f"A must be nonnegative, got {self.A}")
         if self.A < 1.0 / 16.0:
             warnings.warn(
                 f"A = {self.A} < 1/16: the modified-energy dissipation guarantee does not apply",

@@ -49,7 +49,6 @@ __all__ = [
     "InequalityReport",
     "inequality_study",
     "random_trig_field",
-    "check_convergence_arguments",
     "convergence_study",
 ]
 
@@ -368,12 +367,25 @@ CONVERGENCE_T = 0.32
 CONVERGENCE_A = 1.0 / 16.0
 
 
-def check_convergence_arguments(m_list: Sequence[int], dt_factor: float) -> None:
-    """Raise ValueError unless ``convergence_study(m_list, dt_factor)`` can run.
+def convergence_study(
+    m_list: Sequence[int] = (16, 32, 64, 128),
+    dt_factor: float = 0.25,
+) -> RefinementReport:
+    """Refinement study of the full scheme against the reference solution.
 
-    It needs at least 2 grid sizes, each an integer >= 5, a finite positive
-    dt_factor, and at least one step on every level: a level that takes no
-    step has error 0 and no rate.
+    Each level solves the problem fixed by the ``CONVERGENCE_*`` constants up
+    to T with dt = dt_factor * h^2 (quadratic refinement path), forced by the
+    stencil-built source so the sampled reference field solves the
+    space-discretized equation exactly and the measured error isolates the
+    time stepper; errors are sampled at the cell centers at the final time.
+    dt_factor = 1/4 keeps every level's error within a small
+    multiple of the scheme's asymptotic constant (the reference state sits in
+    the anti-diffusive band, so time-truncation noise is amplified by a
+    resolution-independent factor; see ``manufactured_source_stencil``).
+
+    The report carries per-level ``solve_stats`` so solver behavior over the
+    run is inspectable.  Bad arguments raise ValueError before the first
+    level runs, a level that takes no step among them (its error is 0).
     """
     if len(m_list) < 2:
         raise ValueError(f"need at least 2 grid sizes for a refinement study, got {list(m_list)!r}")
@@ -386,28 +398,6 @@ def check_convergence_arguments(m_list: Sequence[int], dt_factor: float) -> None
         dt = dt_factor * GridSpec(L=CONVERGENCE_L, m=m).h ** 2
         if round(CONVERGENCE_T / dt) < 1:
             raise ValueError(f"m={m}: dt = {dt!r} takes no step to T = {CONVERGENCE_T!r}")
-
-
-def convergence_study(
-    m_list: Sequence[int] = (16, 32, 64, 128),
-    dt_factor: float = 0.25,
-) -> RefinementReport:
-    """Refinement study of the full scheme against the reference solution.
-
-    Each level solves the problem fixed by the ``CONVERGENCE_*`` constants up
-    to T with dt = dt_factor * h^2 (quadratic refinement path), forced by the
-    stencil-built source so the sampled reference field solves the
-    space-discretized equation exactly and the measured error isolates the
-    time stepper; errors are sampled at the cell centers at the final time.  dt_factor = 1/4 keeps every level's error within a small
-    multiple of the scheme's asymptotic constant (the reference state sits in
-    the anti-diffusive band, so time-truncation noise is amplified by a
-    resolution-independent factor; see ``manufactured_source_stencil``).
-
-    The report carries per-level ``solve_stats`` so solver behavior over the
-    run is inspectable.  Arguments are checked by
-    :func:`check_convergence_arguments` before the first level runs.
-    """
-    check_convergence_arguments(m_list, dt_factor)
     L, eps, T, A = CONVERGENCE_L, CONVERGENCE_EPS, CONVERGENCE_T, CONVERGENCE_A
     exact = manufactured_solution(L)
     levels = []

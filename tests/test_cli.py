@@ -124,6 +124,12 @@ def test_read_snapshot_rejects_garbage(tmp_path):
     u.write_bytes(b"\xff\xfeCHF1 4 4 1.0 0.0\n" + b"\x00" * 128)  # not ASCII
     with pytest.raises(SnapshotFormatError):
         read_snapshot(u)
+    # header values no run can start from, caught before the payload is read
+    for header in ["CHF1 1 1 1.0 0.0", "CHF1 4 4 nan 0.0", "CHF1 4 4 0.0 0.0",
+                   "CHF1 4 4 1.0 nan", "CHF1 4 4 1.0 inf", "CHF1 4 4 1.0 -inf"]:
+        p.write_bytes(header.encode() + b"\n" + b"\x00" * 128)
+        with pytest.raises(SnapshotFormatError, match="bad header values"):
+            read_snapshot(p)
 
 
 def test_pgm_encoding(tmp_path):
@@ -212,6 +218,8 @@ def test_defaults_are_filled_in():
         {"output": {"formats": []}},
         {"output": {"snapshot_times": 0.03}},  # not a list
         {"initial": {"kind": "file", "path": 3}},  # path not a string
+        {"physics": {"eps": 0.1, "A": -100.0}},  # the update objective need not be convex
+        {"initial": {"kind": "file", "path": "x.chf", "seed": 99}},  # a warm start has no seed
     ],
 )
 def test_bad_configs_rejected(breakage):
@@ -316,6 +324,23 @@ def test_run_yaml_is_a_config_that_reruns_the_run(tmp_path):
         assert (out_a / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_warm_start_run_yaml_names_only_the_file(tmp_path):
+    grid = GridSpec(L=3.2, m=16)
+    warm = tmp_path / "warm.chf"
+    write_snapshot(random_initial_field(grid, 0.0, 0.1, seed=11), warm, t=0.02)
+    data = base_config(initial={"kind": "file", "path": str(warm)},
+                       output={"dir": str(tmp_path / "a"), "snapshot_times": [0.04]})
+    (tmp_path / "a.yaml").write_text(yaml.safe_dump(data))
+    assert main(["run", str(tmp_path / "a.yaml")]) == 0
+    echo = yaml.safe_load((tmp_path / "a" / "run.yaml").read_text())
+    assert echo["initial"] == {"kind": "file", "path": str(warm)}
+    echo["output"]["dir"] = str(tmp_path / "b")
+    (tmp_path / "b.yaml").write_text(yaml.safe_dump(echo))
+    assert main(["run", str(tmp_path / "b.yaml")]) == 0
+    for name in ("energy.csv", "snap_000.chf"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_readme_config_parses():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
@@ -411,7 +436,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     bad.write_text("grid: {m: 16}\n")  # schedule missing
     assert main(["run", str(bad)]) == 2
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
-    assert main(["verify", "all", "--trials", "0"]) == 2
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["verify", "all", "--out", str(taken)]) == 2
     # 3: solver failure (impossible tolerance, one-iteration budget)
     monkeypatch.setattr(chfd.psd, "MAX_ITER", 1)
     monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-16)
@@ -427,11 +454,14 @@ def test_run_reports_unusable_files_as_config_errors(tmp_path, capsys):
     missing = tmp_path / "nope.chf"
     truncated = tmp_path / "short.chf"
     truncated.write_bytes(b"CHF1 16 16 3.2 0.0\n" + b"\x00" * 16)
+    timeless = tmp_path / "timeless.chf"
+    timeless.write_bytes(b"CHF1 16 16 3.2 nan\n" + b"\x00" * (16 * 16 * 8))
     taken = tmp_path / "taken"
     taken.write_text("")
     for bad_path, section in [
         (missing, {"initial": {"kind": "file", "path": str(missing)}}),
         (truncated, {"initial": {"kind": "file", "path": str(truncated)}}),
+        (timeless, {"initial": {"kind": "file", "path": str(timeless)}}),  # t = nan
         (taken, {"output": {"dir": str(taken)}}),  # output dir is a file
     ]:
         config = tmp_path / "c.yaml"
@@ -446,14 +476,14 @@ def test_verify_rejects_bad_options_before_the_studies(tmp_path, capsys, monkeyp
     def study(*args, **kwargs):
         raise AssertionError("a study ran")
 
-    for name in ("truncation_study", "symbol_bound_study", "inequality_study"):
+    for name in ("truncation_study", "symbol_bound_study", "inequality_study",
+                 "convergence_study"):
         monkeypatch.setattr(chfd.cli, name, study)
     taken = tmp_path / "taken"
     taken.write_text("")
     for args, named in [
         (["--out", str(taken)], str(taken)),  # a file
         (["--out", str(taken / "sub")], str(taken / "sub")),  # below a file
-        (["--trials", "0"], "--trials"),
     ]:
         assert main(["verify", "all", *args]) == 2
         err = capsys.readouterr().err
@@ -474,47 +504,28 @@ def test_verify_subcommand_writes_reports(tmp_path, capsys):
     assert capsys.readouterr().out.count("[ok]") == len(TRUNCATION_CASES)
 
 
-def test_converge_subcommand_csv(tmp_path, capsys):
-    rc = main([
-        "converge", "--m-list", "16,32", "--out", str(tmp_path / "c.csv"),
-    ])
+def two_level_study(monkeypatch):
+    """Make ``chfd verify convergence`` run the study at m = 16, 32 only."""
+    study = chfd.cli.convergence_study
+    monkeypatch.setattr(chfd.cli, "convergence_study", lambda: study(m_list=(16, 32)))
+
+
+def test_verify_convergence_writes_the_table_and_gates_the_rates(tmp_path, capsys, monkeypatch):
+    two_level_study(monkeypatch)
     # two levels stop short of the asymptotic range: the gate reports failure
-    assert rc == 4
-    text = (tmp_path / "c.csv").read_text()
+    assert main(["verify", "convergence", "--out", str(tmp_path / "v")]) == 4
+    text = (tmp_path / "v" / "convergence.csv").read_text()
     assert text.splitlines()[0] == "h,error_l2,rate_l2,error_linf,rate_linf"
     captured = capsys.readouterr()
-    assert captured.out.startswith("h,error_l2")
-    # solver effort per level goes to stderr, so stdout stays the CSV
-    assert captured.err.startswith("m=16: psd iterations/step mean ")
-    assert "\nm=32: psd iterations/step mean " in captured.err
+    assert captured.out.startswith("m=16: psd iterations/step mean ")
+    assert "\nm=32: psd iterations/step mean " in captured.out
+    assert captured.err.startswith("FAIL convergence: finest rates ")
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["--m-list", "16"],
-        ["--m-list", "4,8"],
-        ["--m-list", "a,b"],
-        ["--dt-factor", "-1"],
-        ["--m-list", "8,16", "--dt-factor", "100"],  # m=8 takes no step to T
-    ],
-)
-def test_converge_rejects_bad_arguments(tmp_path, capsys, args):
-    assert main(["converge", *args, "--out", str(tmp_path / "c.csv")]) == 2
+def test_verify_reports_a_solver_failure(tmp_path, capsys, monkeypatch):
+    two_level_study(monkeypatch)
+    monkeypatch.setattr(chfd.psd, "MAX_ITER", 1)
+    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-16)
+    assert main(["verify", "convergence", "--out", str(tmp_path / "v")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1, err
-    assert not (tmp_path / "c.csv").exists()
-
-
-def test_converge_rejects_unusable_out_before_the_study(tmp_path, capsys, monkeypatch):
-    def study(**kwargs):
-        raise AssertionError("the study ran")
-
-    monkeypatch.setattr(chfd.cli, "convergence_study", study)
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    for out in (taken / "c.csv", tmp_path):  # below a file; a directory
-        assert main(["converge", "--m-list", "16,32", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1, err
-        assert str(out) in err
+    assert err.startswith("solver failure: ") and err.count("\n") == 1, err

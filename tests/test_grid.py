@@ -35,6 +35,9 @@ def test_grid_spec_rejects_bad_parameters():
         GridSpec(L=0.0, m=8)
     with pytest.raises(ValueError):
         GridSpec(L=1.0, m=1)
+    for L in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GridSpec(L=L, m=8)
 
 
 def test_field_shape_must_match_grid():

@@ -397,3 +397,5 @@ def test_scheme_params_validation():
         SchemeParams(eps=0.0, dt=0.01)
     with pytest.raises(ValueError):
         SchemeParams(eps=0.1, dt=-1.0)
+    with pytest.raises(ValueError, match="A must be nonnegative"):
+        SchemeParams(eps=0.1, dt=0.01, A=-1.0)
