@@ -1,7 +1,7 @@
 """Fourth-order finite-difference solver for the 2-D Cahn-Hilliard equation.
 
 Long-stencil spatial operators, an energy-stable two-step implicit time
-discretization, a Fourier-preconditioned steepest-descent solver for the
+discretization, a Fourier-preconditioned conjugate-direction solver for the
 implicit update, and a verification/experiment harness.
 """
 
@@ -33,7 +33,6 @@ from .spectral import (
     invert_laplace_long,
     laplace_long_spectral,
     make_plan,
-    precondition_solve,
 )
 from .scheme import (
     SchemeParams,
@@ -72,7 +71,6 @@ __all__ = [
     "invert_laplace_long",
     "laplace_long_spectral",
     "make_plan",
-    "precondition_solve",
     "SchemeParams",
     "StepState",
     "assemble_rhs",

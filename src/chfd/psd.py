@@ -1,4 +1,4 @@
-"""Preconditioned steepest descent for the implicit update.
+"""Preconditioned conjugate directions for the implicit update.
 
 The update N[phi] = f (see :mod:`chfd.scheme`) is the critical-point
 equation of the strictly convex objective
@@ -10,16 +10,26 @@ with B = 3/2 phi - 2 phi_k + 1/2 phi_km1, on the mass hyperplane
 mean(phi) = beta0.  :class:`UpdateOperator` holds N, F and the line-search
 cubic in Fourier form; :func:`solve` is the only loop that drives it.
 
-Each iteration projects the residual onto the mean-zero subspace, applies the
-inverse of a constant-coefficient preconditioner (diagonal in Fourier space)
-to get a search direction d, and then minimizes F exactly along d: the
-derivative of F along d is the cubic
+Each iteration projects the residual r onto the mean-zero subspace and
+applies the inverse of the constant-coefficient part of the Hessian of F
+(diagonal in Fourier space) to get z.  The search direction is the
+Polak-Ribiere+ conjugate direction d = z + beta d_prev, with
+beta = max(0, (r, z - z_prev) / (r_prev, z_prev)), restarted at d = z
+whenever d is not a descent direction.  F is then minimized exactly along
+d: the derivative of F along d is the cubic
 
     q(alpha) = c0 + c1 alpha + c2 alpha^2 + c3 alpha^3,
 
-with c1 > 0 and c3 >= 0, and q is strictly increasing, so the step size is
-the unique real root.  The objective is evaluated once, at the initial guess,
-and then advanced by the exact increment of each line search.
+with c0 = -(r, d) < 0, c1 > 0 and c3 >= 0, and q is strictly increasing, so
+the step size is the unique real root.  Every step is a descent step and F
+never increases.  The objective is evaluated once, at the initial guess, and
+then advanced by the exact increment of each line search.
+
+The paper's method (Feng, Salgado, Wang & Wise, J. Comput. Phys. 334, 2017)
+is steepest descent, d = z, with the symbol 1/Lambda + dt + dt (eps^2 +
+A dt) Lambda; the tests keep it as a reference.  Nonlinear conjugate
+gradients: Hager & Zhang, "A survey of nonlinear conjugate gradient
+methods", 2006.
 """
 from __future__ import annotations
 
@@ -29,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid import Field, norm_l2
-from .spectral import SpectralPlan, _inv_sigma, _irfft, _quad
+from .spectral import SpectralPlan, _inner, _irfft, _quad
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheme import SchemeParams, StepState
@@ -145,7 +155,7 @@ class LineSearchCubic:
 
 
 class UpdateOperator:
-    """N, the objective and the line-search cubic of one update, in Fourier form.
+    """N, the objective, the search directions and the line-search cubic of one update.
 
     With Lambda the symbol of -lap4 (so 1/Lambda is the inverse Laplacian on
     mean-zero data) and H = 2 phi_k - 1/2 phi_km1,
@@ -155,27 +165,36 @@ class UpdateOperator:
 
     Lin is affine in phi: moving phi by alpha d moves Lin by alpha S d, so a
     solve transforms phi and H once and then only each search direction.  The
-    preconditioner is sigma = 1/Lambda + dt + dt (eps^2 + A dt) Lambda.  All
-    three symbols vanish at the zero mode, which keeps every iterate on the
-    mass hyperplane of the initial guess.  Methods take and return plain
-    arrays on ``plan.grid``.
+    preconditioner is the constant-coefficient Hessian of the objective at
+    phi_k, sigma = S + 3 dt mean(phi_k^2), built once per update.  S,
+    1/Lambda and 1/sigma vanish at the zero mode, which keeps every iterate
+    on the mass hyperplane of the initial guess.  :meth:`direction` keeps the spectra of
+    the last z and d, so one operator serves one solve.  Methods take and
+    return plain arrays on ``plan.grid``.
     """
 
-    def __init__(self, plan: SpectralPlan, params: SchemeParams):
+    def __init__(self, plan: SpectralPlan, params: SchemeParams, state: StepState):
         grid = plan.grid
         self.plan = plan
+        self.state = state
         self.dt = params.dt
         self.visc = params.dt * (params.A * params.dt + params.eps**2)
         self.hd = grid.h**2
         self.S = 1.5 * plan.inv_Lambda + self.visc * plan.Lambda_long
-        self.inv_sigma = _inv_sigma(plan, params.dt, params.eps, params.A)
+        phi_k = state.phi_curr.values
+        sigma = self.S + 3.0 * self.dt * float(np.vdot(phi_k, phi_k)) / phi_k.size
+        sigma[0, 0] = np.inf  # 1/sigma = 0 at the zero mode
+        self.inv_sigma = 1.0 / sigma
+        # conjugate-direction memory: [d^, S d^] of the last direction, z^ of
+        # the last residual and (r, z) of the last residual (0 before the first)
+        self._spec = np.zeros((2,) + sigma.shape, dtype=complex)
+        self._z_hat = np.empty(sigma.shape, dtype=complex)
+        self._rz = 0.0
 
-    def start(
-        self, state: StepState, phi: np.ndarray, f: np.ndarray
-    ) -> tuple[np.ndarray, float]:
+    def start(self, phi: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
         """Lin at phi (one transform pair) and the objective F[phi]."""
         plan, hd = self.plan, self.hd
-        hist = 2.0 * state.phi_curr.values - 0.5 * state.phi_prev.values
+        hist = 2.0 * self.state.phi_curr.values - 0.5 * self.state.phi_prev.values
         phi_hat, hist_hat = np.fft.rfft2(np.stack((phi, hist)))
         lin = _irfft(plan, self.S * phi_hat - plan.inv_Lambda * hist_hat)
         phi2 = phi * phi  # integer-power ufuncs are ~60x slower here
@@ -196,12 +215,27 @@ class UpdateOperator:
         return out
 
     def direction(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Preconditioned mean-zero residual d and S d, from one transform pair."""
+        """Next search direction d and S d for the mean-zero residual r.
+
+        The first call of a solve gives z = r / sigma; later calls give the
+        PR+ direction z + beta d_prev, or z again where (r, d) <= 0.  The inner
+        products come from the spectra in hand, so a call costs one rfft2 of
+        r and one batched irfft2 of [d^, S d^].
+        """
+        plan, spec, z_hat, rz_prev = self.plan, self._spec, self._z_hat, self._rz
         r_hat = np.fft.rfft2(r)
-        spec = np.empty((2,) + r_hat.shape, dtype=r_hat.dtype)
-        np.multiply(r_hat, self.inv_sigma, out=spec[0])
+        r_zprev = _inner(plan, r_hat, z_hat) if rz_prev else 0.0
+        np.multiply(r_hat, self.inv_sigma, out=z_hat)
+        rz = _inner(plan, r_hat, z_hat)
+        beta = max(0.0, (rz - r_zprev) / rz_prev) if rz_prev else 0.0
+        if beta > 0.0 and rz + beta * _inner(plan, r_hat, spec[0]) <= 0.0:
+            beta = 0.0  # restart: c0 = -(r, d) would not be negative
+        del r_hat  # before the inverse transform allocates its output
+        self._rz = rz
+        spec[0] *= beta
+        spec[0] += z_hat
         np.multiply(spec[0], self.S, out=spec[1])
-        d, sd = _irfft(self.plan, spec)
+        d, sd = _irfft(plan, spec)
         return d, sd
 
     def cubic(
@@ -235,7 +269,7 @@ def solve(
     grid = state.phi_curr.grid
     if rhs.grid != grid:
         raise ValueError("rhs grid does not match state grid")
-    op = UpdateOperator(plan, params)
+    op = UpdateOperator(plan, params, state)
     hd = op.hd
 
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
@@ -244,7 +278,7 @@ def solve(
     f0 = fvals - fvals.mean()
     tol = _TOL_FLOOR * (1.0 + norm_l2(rhs)) + TOL_REL * float(np.sqrt(hd * np.sum(f0 * f0)))
 
-    lin, F = op.start(state, phi, fvals)
+    lin, F = op.start(phi, fvals)
     residuals: list[float] = []
     objectives: list[float] = []
 

@@ -32,7 +32,6 @@ __all__ = [
     "laplace_long_spectral",
     "invert_laplace_long",
     "hminus1_norm",
-    "precondition_solve",
 ]
 
 
@@ -83,6 +82,17 @@ def _quad(plan: SpectralPlan, spec: np.ndarray, symbol: np.ndarray) -> float:
     return float(g.h**2 / g.m**2 * np.sum(plan.mode_weights * mag))
 
 
+def _inner(plan: SpectralPlan, a: np.ndarray, b: np.ndarray) -> float:
+    """Real inner product (u, v)_2 from the rfft spectra of u and v."""
+    g = plan.grid
+    # every column stands for itself and its conjugate mirror, except the
+    # zero column and, for even m, the Nyquist column
+    s = 2.0 * np.vdot(a, b).real - np.vdot(a[:, 0], b[:, 0]).real
+    if g.m % 2 == 0:
+        s -= np.vdot(a[:, -1], b[:, -1]).real
+    return float(g.h**2 / g.m**2 * s)
+
+
 def _check_same_grid(plan: SpectralPlan, f: Field) -> None:
     if f.grid != plan.grid:
         raise ValueError(f"field grid {f.grid} does not match plan grid {plan.grid}")
@@ -116,29 +126,3 @@ def hminus1_norm(plan: SpectralPlan, f: Field) -> float:
     """Discrete H^{-1} norm sqrt((f, (-laplace_long)^{-1} f)) of mean-free f."""
     u = invert_laplace_long(plan, f)
     return float(np.sqrt(max(inner_l2(f, u), 0.0)))
-
-
-def _inv_sigma(plan: SpectralPlan, dt: float, eps: float, A: float) -> np.ndarray:
-    """Reciprocal preconditioner symbol 1/sigma, zero at the zero mode.
-
-    sigma(k, l) = 1/Lambda + dt + dt (eps^2 + A dt) Lambda, which is the
-    per-mode linearization scale of the implicit update (positive away from
-    the zero mode).
-    """
-    Lam = plan.Lambda_long
-    inv = np.zeros_like(Lam)
-    mask = Lam > 0
-    sigma = np.where(mask, plan.inv_Lambda + dt + dt * (eps**2 + A * dt) * Lam, 1.0)
-    np.divide(1.0, sigma, out=inv, where=mask)
-    return inv
-
-
-def precondition_solve(plan: SpectralPlan, r: Field, dt: float, eps: float, A: float) -> Field:
-    """Apply the inverse of the constant-coefficient preconditioner to mean-free r."""
-    _check_same_grid(plan, r)
-    rbar = float(np.mean(r.values))
-    if abs(rbar) > 1e-12 * (1.0 + norm_linf(r)):
-        raise ValueError(f"preconditioner input must be mean-free, got mean {rbar:.3e}")
-    spec = np.fft.rfft2(r.values)
-    spec *= _inv_sigma(plan, dt, eps, A)
-    return Field(plan.grid, _irfft(plan, spec))

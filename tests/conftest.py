@@ -5,10 +5,11 @@ The stencil oracles here are deliberately written as plain Python loops over
 vectorized operators in the package are checked against an implementation
 that shares no code with them.
 
-The update oracles build N[phi], the objective, the line-search cubic and a
-whole steepest-descent loop from the stencil Laplacian and the spectral
-inverse, one public operator call per term, in the form the update is
-printed in; ``chfd.psd.UpdateOperator`` is checked against them.
+The update oracles build N[phi], the objective, the line-search cubic, the
+preconditioner symbols and two whole descent loops from the stencil
+Laplacian, the spectral inverse and closed-form mode symbols, one public
+operator call per term, in the form the update is printed in;
+``chfd.psd.UpdateOperator`` and ``chfd.psd.solve`` are checked against them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from chfd import (
     invert_laplace_long,
     laplace_long,
     norm_l2,
-    precondition_solve,
 )
 import chfd.psd
 from chfd.psd import _TOL_FLOOR, LineSearchCubic
@@ -129,22 +129,81 @@ def oracle_cubic(state, params, phi: np.ndarray, d: Field, rhs: Field, plan) -> 
     )
 
 
-def oracle_psd(state, params, rhs: Field, plan) -> tuple[np.ndarray, int]:
-    """Steepest descent from the extrapolated guess, built from the oracles above.
+def oracle_Lambda(grid: GridSpec) -> np.ndarray:
+    """Symbol of -lap4 per full-FFT mode, from the 1-D eigenvalues in closed form.
+
+    The zero mode holds inf, so every symbol built from it below is inf there
+    and dividing by it annihilates the mean.
+    """
+    s = np.sin(np.pi * np.arange(grid.m) / grid.m)
+    l0 = -4.0 * s * s / grid.h**2
+    lam = l0 - grid.h**2 / 12.0 * l0 * l0
+    Lam = -(lam[:, None] + lam[None, :])
+    Lam[0, 0] = np.inf
+    return Lam
+
+
+def paper_sigma(grid: GridSpec, params) -> np.ndarray:
+    """The paper's preconditioner symbol 1/Lambda + dt + dt (eps^2 + A dt) Lambda."""
+    Lam = oracle_Lambda(grid)
+    dt = params.dt
+    return 1.0 / Lam + dt + dt * (params.eps**2 + params.A * dt) * Lam
+
+
+def hessian_sigma(state, params) -> np.ndarray:
+    """3/(2 Lambda) + 3 dt mean(phi_k^2) + dt (eps^2 + A dt) Lambda."""
+    phi_k = state.phi_curr.values
+    Lam = oracle_Lambda(state.phi_curr.grid)
+    dt = params.dt
+    return (1.5 / Lam + 3.0 * dt * float(np.mean(phi_k**2))
+            + dt * (params.eps**2 + params.A * dt) * Lam)
+
+
+def oracle_precondition(r: Field, sigma: np.ndarray) -> Field:
+    """r / sigma mode by mode, through the full complex FFT."""
+    return Field(r.grid, np.fft.ifft2(np.fft.fft2(r.values) / sigma).real)
+
+
+def _oracle_descent(state, params, rhs: Field, plan, sigma, conjugate: bool):
+    """Exact-line-search descent from the extrapolated guess.
 
     Same stopping rule as ``chfd.psd.solve``, read from the same (possibly
-    monkeypatched) constants; returns (phi, iterations).
+    monkeypatched) constants; returns (phi, iterations).  With ``conjugate``
+    the directions are PR+ ones, restarted at z when the cubic's c0 >= 0.
     """
+    grid = rhs.grid
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
-    f0 = Field(rhs.grid, rhs.values - rhs.values.mean())
+    f0 = Field(grid, rhs.values - rhs.values.mean())
     tol = _TOL_FLOOR * (1.0 + norm_l2(rhs)) + chfd.psd.TOL_REL * norm_l2(f0)
+    d = None
     for it in range(chfd.psd.MAX_ITER + 1):
         r = oracle_residual(state, params, phi, rhs, plan)
         if norm_l2(r) <= tol:
             return phi, it
-        d = precondition_solve(plan, r, params.dt, params.eps, params.A)
-        phi = phi + oracle_cubic(state, params, phi, d, rhs, plan).root() * d.values
+        z = oracle_precondition(r, sigma)
+        q = None
+        if conjugate and d is not None:
+            beta = max(0.0, (inner_l2(r, z) - inner_l2(r, z_prev)) / inner_l2(r_prev, z_prev))
+            d = Field(grid, z.values + beta * d.values)
+            q = oracle_cubic(state, params, phi, d, rhs, plan)
+            if q.c0 >= 0.0:
+                q = None
+        if q is None:
+            d = z
+            q = oracle_cubic(state, params, phi, d, rhs, plan)
+        phi = phi + q.root() * d.values
+        r_prev, z_prev = r, z
     raise RuntimeError(f"oracle loop did not converge in {chfd.psd.MAX_ITER} iterations")
+
+
+def oracle_psd(state, params, rhs: Field, plan) -> tuple[np.ndarray, int]:
+    """The production method: Hessian symbol and PR+ conjugate directions."""
+    return _oracle_descent(state, params, rhs, plan, hessian_sigma(state, params), True)
+
+
+def reference_psd(state, params, rhs: Field, plan) -> tuple[np.ndarray, int]:
+    """The paper's method: its symbol and steepest descent."""
+    return _oracle_descent(state, params, rhs, plan, paper_sigma(rhs.grid, params), False)
 
 
 # ---------------------------------------------------------------------------

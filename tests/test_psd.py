@@ -10,7 +10,6 @@ from chfd import (
     make_plan,
     mean,
     norm_l2,
-    precondition_solve,
 )
 import chfd.psd
 from chfd.grid import full
@@ -20,14 +19,17 @@ from chfd.psd import (
     UpdateOperator,
     solve,
 )
-from chfd.scheme import SchemeParams, StepState, restart_flat
+from chfd.scheme import SchemeParams, StepState, restart_flat, step
 
 from conftest import (
+    hessian_sigma,
     oracle_cubic,
     oracle_F,
     oracle_N,
+    oracle_precondition,
     oracle_psd,
     oracle_residual,
+    reference_psd,
 )
 
 
@@ -68,7 +70,7 @@ def problem():
 
 def first_search(op, state, phi, rhs):
     """(lin, r, d, Sd) of the operator at phi, as the first iteration of a solve."""
-    lin, _ = op.start(state, phi, rhs.values)
+    lin, _ = op.start(phi, rhs.values)
     r = rhs.values - op.N(lin, phi)
     r -= r.mean()
     return (lin, r) + op.direction(r)
@@ -84,14 +86,14 @@ def rel_gap(a, b):
 
 def test_operator_matches_stencil_oracles(problem):
     grid, plan, params, state, rhs = problem
-    op = UpdateOperator(plan, params)
+    op = UpdateOperator(plan, params, state)
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
     lin, r, d, sd = first_search(op, state, phi, rhs)
     assert rel_gap(op.N(lin, phi), oracle_N(state, params, phi, plan)) <= 1e-12
     assert rel_gap(r, oracle_residual(state, params, phi, rhs, plan).values) <= 1e-12
-    assert op.start(state, phi, rhs.values)[1] == pytest.approx(
+    assert op.start(phi, rhs.values)[1] == pytest.approx(
         oracle_F(state, params, phi, rhs, plan), rel=1e-12)
-    d_oracle = precondition_solve(plan, Field(grid, r), params.dt, params.eps, params.A)
+    d_oracle = oracle_precondition(Field(grid, r), hessian_sigma(state, params))
     assert rel_gap(d, d_oracle.values) <= 1e-12
     q = op.cubic(phi, r, d, sd)
     q_oracle = oracle_cubic(state, params, phi, d_oracle, rhs, plan)
@@ -110,6 +112,14 @@ def test_solve_matches_oracle_psd_loop(problem, monkeypatch):
     phi_oracle, iterations = oracle_psd(state, params, rhs, plan)
     assert stats.iterations == iterations
     assert np.max(np.abs(phi.values - phi_oracle)) <= 1e-12
+
+
+def test_solve_matches_paper_method_in_fewer_iterations(problem):
+    grid, plan, params, state, rhs = problem
+    phi, stats = solve(state, params, rhs, plan)
+    phi_ref, ref_iterations = reference_psd(state, params, rhs, plan)
+    assert rel_gap(phi.values, phi_ref) <= 1e-9
+    assert stats.iterations < ref_iterations
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +155,7 @@ def test_cubic_requires_positive_slope():
 
 def test_line_search_minimizes_objective(problem):
     grid, plan, params, state, rhs = problem
-    op = UpdateOperator(plan, params)
+    op = UpdateOperator(plan, params, state)
     phi = state.phi_curr.values
     _, r, d, sd = first_search(op, state, phi, rhs)
     alpha = op.cubic(phi, r, d, sd).root()
@@ -162,7 +172,7 @@ def test_line_search_cubic_coefficients_signs(problem):
     """At the current iterate the slope c0 is negative along the
     preconditioned residual, c1 > 0, c3 >= 0."""
     grid, plan, params, state, rhs = problem
-    op = UpdateOperator(plan, params)
+    op = UpdateOperator(plan, params, state)
     phi = state.phi_curr.values
     _, r, d, sd = first_search(op, state, phi, rhs)
     q = op.cubic(phi, r, d, sd)
@@ -172,9 +182,27 @@ def test_line_search_cubic_coefficients_signs(problem):
     assert q.c0 == pytest.approx(-inner_l2(Field(grid, r), Field(grid, d)), rel=1e-10)
 
 
+def test_restart_returns_a_descent_step(problem):
+    """Where the PR+ direction is not a descent direction, it restarts at z."""
+    grid, plan, params, state, rhs = problem
+    phi = 2.0 * state.phi_curr.values - state.phi_prev.values
+    _, r, z, _ = first_search(UpdateOperator(plan, params, state), state, phi, rhs)
+    op = UpdateOperator(plan, params, state)
+    # after a previous residual -r, beta = 2 and z + beta d_prev = -z: ascent
+    op.direction(-r)
+    d, sd = op.direction(r)
+    assert rel_gap(d, z) <= 1e-12
+    q = op.cubic(phi, r, d, sd)
+    assert q.c0 < 0.0
+    alpha = q.root()
+    assert alpha > 0.0
+    F_new = oracle_F(state, params, phi + alpha * d, rhs, plan)
+    assert F_new < oracle_F(state, params, phi, rhs, plan)
+
+
 def test_zero_direction_rejected(problem):
     grid, plan, params, state, rhs = problem
-    op = UpdateOperator(plan, params)
+    op = UpdateOperator(plan, params, state)
     phi = state.phi_curr.values
     _, r, _, _ = first_search(op, state, phi, rhs)
     zero = np.zeros(grid.shape)
@@ -236,6 +264,22 @@ def test_residuals_decay_geometrically(problem):
     ratios = stats.residual_ratios
     assert len(ratios) == stats.iterations
     assert all(rt < 1.0 for rt in ratios)
+
+
+def test_late_time_steps_at_large_dt_stay_healthy():
+    """Smoothed +-1 domains, started flat, at the second segment's dt of
+    spinodal_full.yaml (eps = 0.03, h = 0.025): every solve converges with
+    every residual ratio after the first below one and a monotone objective."""
+    grid = GridSpec(L=1.6, m=64)
+    plan = make_plan(grid)
+    params = SchemeParams(eps=0.03, dt=0.04)
+    smooth = smooth_field(grid, seed=3, scale=1.0).values
+    state = restart_flat(Field(grid, np.tanh(smooth / 0.3)))  # interfaces about h wide
+    for _ in range(4):
+        state, diag = step(state, params, plan)
+        assert all(rt < 1.0 for rt in diag.solve.residual_ratios[1:])
+        F = diag.solve.objectives
+        assert all(b <= a for a, b in zip(F, F[1:]))
 
 
 @pytest.fixture

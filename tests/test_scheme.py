@@ -199,8 +199,8 @@ def test_forced_rhs_adds_inverse_laplacian_of_source():
     assert np.allclose(recovered, expected, rtol=0, atol=1e-10 * (1 + np.max(np.abs(expected))))
 
 
-def objective_at(op, state, phi, f):
-    return op.start(state, phi, f.values)[1]
+def objective_at(op, phi, f):
+    return op.start(phi, f.values)[1]
 
 
 def test_apply_N_constant_is_dt_c_cubed():
@@ -209,9 +209,9 @@ def test_apply_N_constant_is_dt_c_cubed():
     c, dt = 0.5, 0.02
     state = flat_state(full(grid, c))
     params = SchemeParams(eps=0.1, dt=dt)
-    op = UpdateOperator(plan, params)
+    op = UpdateOperator(plan, params, state)
     phi = full(grid, c).values
-    lin, _ = op.start(state, phi, assemble_rhs(state, params, plan).values)
+    lin, _ = op.start(phi, assemble_rhs(state, params, plan).values)
     assert np.allclose(op.N(lin, phi), dt * c**3, rtol=1e-13, atol=1e-15)
 
 
@@ -235,13 +235,13 @@ def test_objective_directional_derivative_is_residual():
     d_raw = random_field(grid, 33).values
     d = Field(grid, d_raw - np.mean(d_raw))
     alpha = 1e-6
-    op = UpdateOperator(plan, params)
+    op = UpdateOperator(plan, params, state)
 
     def F_at(a):
-        return objective_at(op, state, phi.values + a * d.values, f)
+        return objective_at(op, phi.values + a * d.values, f)
 
     fd = (F_at(alpha) - F_at(-alpha)) / (2 * alpha)
-    lin, _ = op.start(state, phi.values, f.values)
+    lin, _ = op.start(phi.values, f.values)
     residual = Field(grid, op.N(lin, phi.values) - f.values)
     assert fd == pytest.approx(inner_l2(residual, d), rel=1e-6, abs=1e-10)
 
@@ -256,8 +256,8 @@ def test_objective_is_convex_along_mean_zero_lines():
     d_raw = random_field(grid, 42).values
     d = d_raw - np.mean(d_raw)
     alphas = np.linspace(-2.0, 2.0, 21)
-    op = UpdateOperator(plan, params)
-    vals = [objective_at(op, state, phi.values + a * d, f) for a in alphas]
+    op = UpdateOperator(plan, params, state)
+    vals = [objective_at(op, phi.values + a * d, f) for a in alphas]
     second = np.diff(vals, 2)
     assert np.all(second > 0)
 

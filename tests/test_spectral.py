@@ -14,8 +14,10 @@ from chfd import (
     laplace_long_spectral,
     make_plan,
     norm_l2,
-    precondition_solve,
 )
+from chfd.psd import UpdateOperator
+from chfd.scheme import SchemeParams, restart_flat
+from chfd.spectral import _inner
 
 from conftest import random_field
 
@@ -100,6 +102,15 @@ def test_hminus1_matches_full_fft_oracle(grid32):
     assert hminus1_norm(plan, f) == pytest.approx(oracle, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [16, 15])
+def test_spectral_inner_product_matches_grid_sum(m):
+    grid = GridSpec(L=2.0, m=m)
+    plan = make_plan(grid)
+    u, v = random_field(grid, seed=21), random_field(grid, seed=22)
+    got = _inner(plan, np.fft.rfft2(u.values), np.fft.rfft2(v.values))
+    assert got == pytest.approx(inner_l2(u, v), rel=0, abs=1e-13 * norm_l2(u) * norm_l2(v))
+
+
 def test_hminus1_is_a_norm(grid32):
     plan = make_plan(grid32)
     f = mean_free(random_field(grid32, seed=13))
@@ -109,12 +120,16 @@ def test_hminus1_is_a_norm(grid32):
 
 
 def test_preconditioner_single_mode():
+    """The first search direction of a solve is r / sigma and S r / sigma, with
+    sigma = S + 3 dt mean(phi_k^2) the Hessian symbol of the update."""
     grid = GridSpec(L=3.2, m=32)
     plan = make_plan(grid)
     dt, eps, A = 0.01, 0.1, 1.0 / 16.0
     kx, ky = 2, 5
     a = 2 * np.pi / grid.L
     f = field_from_fn(grid, lambda x, y: np.sin(a * kx * x) * np.cos(a * ky * y))
+    phi_k = random_field(grid, seed=19, scale=0.5)
+    op = UpdateOperator(plan, SchemeParams(eps=eps, dt=dt, A=A), restart_flat(phi_k))
 
     def lam1(k):
         s = np.sin(np.pi * k / grid.m)
@@ -122,24 +137,11 @@ def test_preconditioner_single_mode():
         return l0 - grid.h**2 / 12 * l0 * l0
 
     Lam = -(lam1(kx) + lam1(ky))
-    sigma = 1.0 / Lam + dt + dt * (eps**2 + A * dt) * Lam
-    out = precondition_solve(plan, f, dt, eps, A)
-    assert np.allclose(out.values, f.values / sigma, rtol=1e-12, atol=1e-14)
-
-
-def test_preconditioner_requires_mean_free(grid32):
-    plan = make_plan(grid32)
-    with pytest.raises(ValueError):
-        precondition_solve(plan, Field(grid32, np.ones(grid32.shape)), 0.01, 0.1, 0.0625)
-
-
-def test_preconditioner_small_dt_limit(grid32):
-    """As dt -> 0, sigma -> 1/Lambda, so the solve approaches -laplace applied to r."""
-    plan = make_plan(grid32)
-    r = mean_free(random_field(grid32, seed=17))
-    tiny = precondition_solve(plan, r, 1e-12, 0.1, 0.0625)
-    direct = Field(grid32, -laplace_long(r).values)
-    assert np.allclose(tiny.values, direct.values, rtol=1e-6, atol=1e-6)
+    S = 1.5 / Lam + dt * (eps**2 + A * dt) * Lam
+    sigma = S + 3 * dt * np.mean(phi_k.values**2)
+    d, sd = op.direction(f.values)
+    assert np.allclose(d, f.values / sigma, rtol=1e-12, atol=1e-14)
+    assert np.allclose(sd, f.values * S / sigma, rtol=1e-12, atol=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
