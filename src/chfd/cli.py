@@ -91,19 +91,19 @@ class SegmentConfig:
 
 @dataclass(frozen=True)
 class InitialConfig:
-    kind: str = "random"  # random | file
-    mean: float = 0.0
-    amplitude: float = 0.1
-    seed: int = 0
-    path: str | None = None  # kind == file
+    kind: str  # random | file
+    mean: float
+    amplitude: float
+    seed: int
+    path: str | None  # kind == file
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    dir: str = "out"
-    energy_every: int = 1
-    snapshot_times: tuple[float, ...] = ()
-    formats: tuple[str, ...] = ("chf",)
+    dir: str
+    energy_every: int
+    snapshot_times: tuple[float, ...]
+    formats: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -348,9 +348,11 @@ def _config_echo(config: RunConfig) -> dict:
 
 @dataclass
 class RunResult:
-    records: list[EnergyRecord]
+    """What a run returns; the histories hold the ``energy.csv`` rows only."""
+
+    records: list[EnergyRecord]  # the initial row and each row of a step
     state: StepState
-    solve_stats: list[SolveStats]
+    solve_stats: list[SolveStats]  # one per step row of records, records[1:]
     snapshots: list[float]  # step times of the snapshots written
 
 
@@ -378,7 +380,9 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
     Writes (when ``write_outputs``): ``energy.csv`` streamed row by row, the
     requested snapshots, and a ``run.yaml`` echo of the effective config. The
     energy CSV always contains the initial row, every ``energy_every``-th
-    step, and the final step.  Every segment and snapshot time must sit on the
+    step, and the final step; the returned records and solve stats are those
+    rows, with or without ``write_outputs``, so a run holds no more history
+    than the CSV.  Every segment and snapshot time must sit on the
     step lattice from the initial time (ConfigError otherwise), so a snapshot
     is taken at exactly the step time it names.  Steps are numbered from the
     initial time through the whole run, across changes of dt.  Every history
@@ -438,11 +442,12 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
             params = SchemeParams(eps=config.eps, dt=dt, A=config.A)
             for _ in range(n):
                 state, diag = step(state, params, plan)
-                solve_stats.append(diag.solve)
-                records.append(diag.record)
                 k = state.step_index
-                if csv_writer and (k % config.output.energy_every == 0 or k == last_step):
-                    csv_writer.write(diag.record)
+                if k % config.output.energy_every == 0 or k == last_step:
+                    solve_stats.append(diag.solve)
+                    records.append(diag.record)
+                    if csv_writer:
+                        csv_writer.write(diag.record)
                 take_snapshots(state)
     finally:
         if csv_writer:

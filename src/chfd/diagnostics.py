@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import Field, mean
-from .spectral import SpectralPlan, _quad
+from .spectral import SpectralPlan, _inner
 
 __all__ = ["EnergyRecord", "energy", "modified_energy", "fit_power_law"]
 
@@ -46,7 +46,8 @@ def energy(phi: Field, eps: float, plan: SpectralPlan) -> float:
     grid = phi.grid
     hd = grid.h**2
     well = 0.25 * hd * float(np.sum((phi.values**2 - 1.0) ** 2))
-    return well + 0.5 * eps**2 * _quad(plan, np.fft.rfft2(phi.values), plan.Lambda_long)
+    spec = np.fft.rfft2(phi.values)
+    return well + 0.5 * eps**2 * _inner(plan, spec, plan.Lambda_long * spec)
 
 
 def modified_energy(
@@ -67,7 +68,8 @@ def modified_energy(
         raise ValueError(f"means differ ({m_new!r} vs {m_old!r}); increment is not mean-free")
     grid = phi_new.grid
     diff = phi_new.values - phi_old.values
-    hm1_sq = _quad(plan, np.fft.rfft2(diff), plan.inv_Lambda)
+    spec = np.fft.rfft2(diff)
+    hm1_sq = _inner(plan, spec, plan.inv_Lambda * spec)
     l2_sq = grid.h**2 * float(np.sum(diff * diff))
     return E + hm1_sq / (4.0 * dt) + 0.5 * l2_sq
 

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _MAGIC = "CHF1"
+_MAX_HEADER = 256  # bytes in the header line, before its newline
 
 
 class SnapshotFormatError(ValueError):
@@ -60,16 +61,12 @@ def _write_chf(field: Field, path: str | os.PathLike, t: float) -> None:
 
 
 def _read_header_line(fh: IO[bytes]) -> str:
-    raw = bytearray()
-    while True:
-        b = fh.read(1)
-        if not b:
-            raise SnapshotFormatError("unexpected end of file in header")
-        if b == b"\n":
-            break
-        raw += b
-        if len(raw) > 256:
-            raise SnapshotFormatError("header line too long")
+    line = fh.readline(_MAX_HEADER + 1)
+    raw = line.removesuffix(b"\n")
+    if len(raw) > _MAX_HEADER:
+        raise SnapshotFormatError("header line too long")
+    if raw == line:
+        raise SnapshotFormatError("unexpected end of file in header")
     try:
         return raw.decode("ascii")
     except UnicodeDecodeError as exc:

@@ -20,10 +20,10 @@ d: the derivative of F along d is the cubic
 
     q(alpha) = c0 + c1 alpha + c2 alpha^2 + c3 alpha^3,
 
-with c0 = -(r, d) < 0, c1 > 0 and c3 >= 0, and q is strictly increasing, so
-the step size is the unique real root.  Every step is a descent step and F
-never increases.  The objective is evaluated once, at the initial guess, and
-then advanced by the exact increment of each line search.
+with c0 = -(r, d) < 0, c1 > 0 and c2^2 <= 3 c1 c3, so q is increasing and the
+step size is its unique real root, in (0, -4 c0/c1].  Every step is a descent
+step and F never increases.  The objective is evaluated once, at the initial
+guess, and then advanced by the exact increment of each line search.
 
 The paper's method (Feng, Salgado, Wang & Wise, J. Comput. Phys. 334, 2017)
 is steepest descent, d = z, with the symbol 1/Lambda + dt + dt (eps^2 +
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid import Field, norm_l2
-from .spectral import SpectralPlan, _inner, _irfft, _quad
+from .spectral import SpectralPlan, _inner, _irfft
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheme import SchemeParams, StepState
@@ -108,34 +108,18 @@ class LineSearchCubic:
         )
 
     def root(self) -> float:
-        """Unique real root, via safeguarded Newton in an expanding bracket."""
-        c0, c1 = self.c0, self.c1
-        if c1 <= 0.0:
-            raise ValueError(f"cubic is not increasing at the origin (c1 = {c1})")
-        if self.c2 == 0.0 and self.c3 == 0.0:
-            return -c0 / c1
-        if c0 == 0.0:
-            return 0.0
+        """Unique real root, by safeguarded Newton between 0 and -4 c0/c1.
+
+        The update's cubic has c2^2 <= 3 c1 c3 (Cauchy-Schwarz on (phi d, d^2),
+        with (d, S d) > 0 in c1), so q' >= 0 and the mean slope of q from 0 to
+        alpha, c1 + c2 alpha + c3 alpha^2, is at least c1/4: that bounds the root.
+        """
+        c0, c1, c2, c3 = self.c0, self.c1, self.c2, self.c3
+        if not (c1 > 0.0 and c2 * c2 <= 3.0 * c1 * c3):
+            raise ValueError(f"cubic is not monotone (c1 = {c1}, c2 = {c2}, c3 = {c3})")
         tol = 1e-12 * abs(c0) + 1e-30
-        # bracket the sign change starting from the Newton guess at 0
-        guess = abs(c0 / c1)
-        if c0 < 0.0:
-            lo, hi = 0.0, max(guess, 1e-300)
-            for _ in range(200):
-                if self(hi) >= 0.0:
-                    break
-                lo, hi = hi, 2.0 * hi
-            else:  # pragma: no cover - c3 > 0 guarantees a sign change
-                raise ValueError("line-search bracketing failed")
-        else:
-            lo, hi = -max(guess, 1e-300), 0.0
-            for _ in range(200):
-                if self(lo) <= 0.0:
-                    break
-                lo, hi = 2.0 * lo, lo
-            else:  # pragma: no cover
-                raise ValueError("line-search bracketing failed")
-        alpha = min(max(-c0 / c1, lo), hi)
+        lo, hi = sorted((0.0, -4.0 * c0 / c1))
+        alpha = -c0 / c1
         for _ in range(200):
             q = self(alpha)
             if abs(q) <= tol:
@@ -196,14 +180,17 @@ class UpdateOperator:
         plan, hd = self.plan, self.hd
         hist = 2.0 * self.state.phi_curr.values - 0.5 * self.state.phi_prev.values
         phi_hat, hist_hat = np.fft.rfft2(np.stack((phi, hist)))
-        lin = _irfft(plan, self.S * phi_hat - plan.inv_Lambda * hist_hat)
+        # F first: at 512^2 a step then takes about a third fewer minor page
+        # faults than with lin first (glibc malloc reusing freed blocks, numpy 2.4)
+        b_hat = 1.5 * phi_hat - hist_hat
         phi2 = phi * phi  # integer-power ufuncs are ~60x slower here
         F = (
-            _quad(plan, 1.5 * phi_hat - hist_hat, plan.inv_Lambda) / 3.0
+            _inner(plan, b_hat, plan.inv_Lambda * b_hat) / 3.0
             + 0.25 * self.dt * hd * float(np.sum(phi2 * phi2))
-            + 0.5 * self.visc * _quad(plan, phi_hat, plan.Lambda_long)
+            + 0.5 * self.visc * _inner(plan, phi_hat, plan.Lambda_long * phi_hat)
             - hd * float(np.sum(f * phi))
         )
+        lin = _irfft(plan, self.S * phi_hat - plan.inv_Lambda * hist_hat)
         return lin, F
 
     def N(self, lin: np.ndarray, phi: np.ndarray) -> np.ndarray:

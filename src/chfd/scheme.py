@@ -241,20 +241,18 @@ def assemble_rhs(
     f = 2 dt phi_k - dt phi_km1 - A dt^2 lap4 phi_k, plus
     dt * (-lap4)^{-1} S(t_{k+1}) when a source is present (the whole update
     equation is mapped through the negative inverse Laplacian, so the source
-    enters through it as well).  Both lap4 terms come from one transform pair.
+    enters through it as well).  One inverse transform returns both terms.
     """
     _check_same_grid(plan, state.phi_curr)
     grid = plan.grid
     dt, A = params.dt, params.A
     phi_k = state.phi_curr.values
     f = 2.0 * dt * phi_k - dt * state.phi_prev.values
-    if source is None:
-        spec = np.fft.rfft2(phi_k)
-        spec *= A * dt**2 * plan.Lambda_long
-    else:
+    spec = np.fft.rfft2(phi_k)
+    spec *= A * dt**2 * plan.Lambda_long
+    if source is not None:
         svals = sample_source(source, grid, state.t + dt).values
-        phi_hat, s_hat = np.fft.rfft2(np.stack((phi_k, svals)))
-        spec = A * dt**2 * plan.Lambda_long * phi_hat + dt * plan.inv_Lambda * s_hat
+        spec += dt * plan.inv_Lambda * np.fft.rfft2(svals)
     f += _irfft(plan, spec)
     return Field(grid, f)
 

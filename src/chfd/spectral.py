@@ -43,7 +43,6 @@ class SpectralPlan:
     lambda_long: np.ndarray  # (m,) per-axis symbols, FFT frequency order
     Lambda_long: np.ndarray  # -(sum of per-axis lambda_long); (m, m//2+1)
     inv_Lambda: np.ndarray  # 1/Lambda_long with the zero mode set to 0
-    mode_weights: np.ndarray  # Parseval multiplicity of each rfft column (1 or 2)
 
 
 def make_plan(grid: GridSpec) -> SpectralPlan:
@@ -60,11 +59,7 @@ def make_plan(grid: GridSpec) -> SpectralPlan:
     Lam[0, 0] = 0.0
     inv = np.zeros_like(Lam)
     np.divide(1.0, Lam, out=inv, where=Lam > 0)
-    w = np.full(half, 2.0)
-    w[0] = 1.0
-    if m % 2 == 0:
-        w[-1] = 1.0
-    return SpectralPlan(grid, lam_long, Lam, inv, w)
+    return SpectralPlan(grid, lam_long, Lam, inv)
 
 
 def _irfft(plan: SpectralPlan, spec: np.ndarray) -> np.ndarray:
@@ -72,18 +67,11 @@ def _irfft(plan: SpectralPlan, spec: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(spec, s=plan.grid.shape)
 
 
-def _quad(plan: SpectralPlan, spec: np.ndarray, symbol: np.ndarray) -> float:
-    """Real quadratic form (u, S u)_2 from the rfft spectrum of u.
-
-    ``symbol`` is the real per-mode multiplier of S in the same layout.
-    """
-    g = plan.grid
-    mag = symbol * (spec.real**2 + spec.imag**2)
-    return float(g.h**2 / g.m**2 * np.sum(plan.mode_weights * mag))
-
-
 def _inner(plan: SpectralPlan, a: np.ndarray, b: np.ndarray) -> float:
-    """Real inner product (u, v)_2 from the rfft spectra of u and v."""
+    """Real inner product (u, v)_2 from the rfft spectra of u and v.
+
+    A quadratic form (u, S u)_2 with a real symbol S is ``_inner(plan, u^, S u^)``.
+    """
     g = plan.grid
     # every column stands for itself and its conjugate mirror, except the
     # zero column and, for even m, the Nyquist column

@@ -70,7 +70,6 @@ class RefinementRow:
 class RefinementReport:
     """Rows of a halving study plus least-squares slopes over all rows."""
 
-    test_name: str
     parameters: dict
     rows: list[RefinementRow] = dataclass_field(default_factory=list)
     # per-level solver iteration statistics (convergence_study only)
@@ -208,7 +207,6 @@ def truncation_study(
             tau = Field(grid, d1_long(f, axis=0).values - ref.values)
         levels.append((grid.h, norm_l2(tau), norm_linf(tau)))
     return RefinementReport(
-        test_name=f"truncation:{case.name}",
         parameters={"L": L, "kind": case.kind, "m_list": tuple(m_list)},
         rows=_rows_from_errors(levels),
     )
@@ -419,7 +417,6 @@ def convergence_study(
         levels.append((grid.h, norm_l2(err), norm_linf(err)))
         stats[grid.m] = level_stats
     return RefinementReport(
-        test_name="convergence:reference_solution",
         parameters={
             "L": L,
             "eps": eps,

@@ -124,6 +124,15 @@ def test_read_snapshot_rejects_garbage(tmp_path):
     u.write_bytes(b"\xff\xfeCHF1 4 4 1.0 0.0\n" + b"\x00" * 128)  # not ASCII
     with pytest.raises(SnapshotFormatError):
         read_snapshot(u)
+    p.write_bytes(b"CHF1 4 4 1.0 0.0")  # the file ends before the newline
+    with pytest.raises(SnapshotFormatError, match="end of file"):
+        read_snapshot(p)
+    # 256 bytes before the newline are read; 257 are not
+    p.write_bytes(b"CHF1 4 4 1.0 0.0" + b" " * 240 + b"\n" + b"\x00" * 128)
+    read_snapshot(p)
+    p.write_bytes(b"CHF1 4 4 1.0 0.0" + b" " * 241 + b"\n" + b"\x00" * 128)
+    with pytest.raises(SnapshotFormatError, match="too long"):
+        read_snapshot(p)
     # header values no run can start from, caught before the payload is read
     for header in ["CHF1 1 1 1.0 0.0", "CHF1 4 4 nan 0.0", "CHF1 4 4 0.0 0.0",
                    "CHF1 4 4 1.0 nan", "CHF1 4 4 1.0 inf", "CHF1 4 4 1.0 -inf"]:
@@ -373,12 +382,25 @@ def test_steps_are_numbered_through_a_dt_change(tmp_path):
     )
     result = run_simulation(parse_config(data))
     assert result.state.step_index == 7
-    assert [r.step for r in result.records] == list(range(8))
+    assert [r.step for r in result.records] == [0, 3, 6, 7]
     assert result.snapshots == [pytest.approx(0.03), pytest.approx(0.07), pytest.approx(0.07)]
     rows = (tmp_path / "two" / "energy.csv").read_text().splitlines()[1:]
     assert [int(row.split(",")[0]) for row in rows] == [0, 3, 6, 7]
     for i, t in enumerate(result.snapshots):
         assert read_snapshot(tmp_path / "two" / f"snap_{i:03d}.chf")[1] == t
+
+
+def test_run_result_keeps_the_energy_csv_rows_only(tmp_path):
+    data = base_config(schedule=[{"dt": 0.01, "t_end": 0.12}],
+                       output={"dir": str(tmp_path / "every5"), "energy_every": 5})
+    result = run_simulation(parse_config(data))
+    rows = [row.split(",") for row in
+            (tmp_path / "every5" / "energy.csv").read_text().splitlines()[1:]]
+    assert [r.step for r in result.records] == [int(row[0]) for row in rows] == [0, 5, 10, 12]
+    assert len(result.solve_stats) == len(result.records) - 1
+    assert [s.iterations for s in result.solve_stats] == [int(row[5]) for row in rows[1:]]
+    quiet = run_simulation(parse_config(data), write_outputs=False)
+    assert quiet.records == result.records
 
 
 def test_schedule_and_snapshots_on_the_step_lattice_pass():

@@ -153,6 +153,12 @@ def test_cubic_requires_positive_slope():
         LineSearchCubic(c0=-1.0, c1=-2.0, c2=0.0, c3=1.0).root()
 
 
+def test_cubic_root_rejects_a_cubic_that_is_not_monotone():
+    # c1 > 0 but c2^2 = 9 > 3 c1 c3 = 3: q falls between its two critical points
+    with pytest.raises(ValueError, match="not monotone"):
+        LineSearchCubic(c0=-1.0, c1=1.0, c2=-3.0, c3=1.0).root()
+
+
 def test_line_search_minimizes_objective(problem):
     grid, plan, params, state, rhs = problem
     op = UpdateOperator(plan, params, state)
@@ -168,9 +174,15 @@ def test_line_search_minimizes_objective(problem):
     assert F_along(alpha) < F_along(0.0)
 
 
+def assert_bracketed(q):
+    """The bound behind the root's bracket holds and the root is in it."""
+    assert q.c2 * q.c2 <= 3.0 * q.c1 * q.c3
+    assert 0.0 < q.root() <= -4.0 * q.c0 / q.c1
+
+
 def test_line_search_cubic_coefficients_signs(problem):
     """At the current iterate the slope c0 is negative along the
-    preconditioned residual, c1 > 0, c3 >= 0."""
+    preconditioned residual, c1 > 0, c3 >= 0, c2^2 <= 3 c1 c3."""
     grid, plan, params, state, rhs = problem
     op = UpdateOperator(plan, params, state)
     phi = state.phi_curr.values
@@ -179,6 +191,7 @@ def test_line_search_cubic_coefficients_signs(problem):
     assert q.c0 < 0  # descent direction
     assert q.c1 > 0
     assert q.c3 >= 0
+    assert_bracketed(q)
     assert q.c0 == pytest.approx(-inner_l2(Field(grid, r), Field(grid, d)), rel=1e-10)
 
 
@@ -266,10 +279,19 @@ def test_residuals_decay_geometrically(problem):
     assert all(rt < 1.0 for rt in ratios)
 
 
-def test_late_time_steps_at_large_dt_stay_healthy():
+def test_late_time_steps_at_large_dt_stay_healthy(monkeypatch):
     """Smoothed +-1 domains, started flat, at the second segment's dt of
     spinodal_full.yaml (eps = 0.03, h = 0.025): every solve converges with
-    every residual ratio after the first below one and a monotone objective."""
+    every residual ratio after the first below one and a monotone objective,
+    and every PR+ line-search cubic has its root in the bracket."""
+    cubics = []
+    cubic = UpdateOperator.cubic
+
+    def recorded(self, *args):
+        cubics.append(cubic(self, *args))
+        return cubics[-1]
+
+    monkeypatch.setattr(UpdateOperator, "cubic", recorded)
     grid = GridSpec(L=1.6, m=64)
     plan = make_plan(grid)
     params = SchemeParams(eps=0.03, dt=0.04)
@@ -280,6 +302,9 @@ def test_late_time_steps_at_large_dt_stay_healthy():
         assert all(rt < 1.0 for rt in diag.solve.residual_ratios[1:])
         F = diag.solve.objectives
         assert all(b <= a for a, b in zip(F, F[1:]))
+    assert len(cubics) > 8
+    for q in cubics:
+        assert_bracketed(q)
 
 
 @pytest.fixture

@@ -39,9 +39,6 @@ def test_symbol_tables_match_formulas():
     assert plan.Lambda_long[0, 0] == 0.0
     assert np.all(plan.Lambda_long >= 0.0)
     assert np.count_nonzero(plan.Lambda_long == 0.0) == 1
-    # Parseval column weights for the rfft layout (even m)
-    assert plan.mode_weights[0] == 1.0 and plan.mode_weights[-1] == 1.0
-    assert np.all(plan.mode_weights[1:-1] == 2.0)
 
 
 def test_make_plan_rejects_tiny_grid():
