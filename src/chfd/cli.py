@@ -284,14 +284,22 @@ def parse_config(data: dict) -> RunConfig:
         isinstance(t, (int, float)) and not isinstance(t, bool) for t in snap_times
     ):
         raise ConfigError("'output.snapshot_times' must be a list of numbers")
+    bad_times = [t for t in snap_times if not math.isfinite(t)]
+    if bad_times:
+        raise ConfigError(f"'output.snapshot_times' must be finite, got {bad_times[0]!r}")
     formats = out_sec.get("formats", ["chf"])
     if not isinstance(formats, list) or not formats:
         raise ConfigError("'output.formats' must be a nonempty list")
     for f in formats:
         if f not in ("chf", "pgm"):
             raise ConfigError(f"unknown output format {f!r} (chf and pgm are supported)")
+    if len(set(formats)) < len(formats):
+        raise ConfigError(f"'output.formats' lists a format twice: {formats!r}")
+    out_dir = out_sec.get("dir", "out")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"'output.dir' must be a nonempty string, got {out_dir!r}")
     output = OutputConfig(
-        dir=str(out_sec.get("dir", "out")),
+        dir=out_dir,
         energy_every=energy_every,
         snapshot_times=tuple(sorted(float(t) for t in snap_times)),
         formats=tuple(formats),

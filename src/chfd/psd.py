@@ -7,8 +7,8 @@ equation of the strictly convex objective
              + dt/2 (A dt + eps^2) |grad4 phi|^2 - (f, phi),
 
 with B = 3/2 phi - 2 phi_k + 1/2 phi_km1, on the mass hyperplane
-mean(phi) = beta0.  :class:`UpdateOperator` holds N, F and the line-search
-cubic in Fourier form; :func:`solve` is the only loop that drives it.
+mean(phi) = beta0.  :class:`UpdateOperator` holds the residual, F and the
+line-search cubic in Fourier form; :func:`solve` is the only loop that drives it.
 
 Each iteration projects the residual r onto the mean-zero subspace and
 applies the inverse of the constant-coefficient part of the Hessian of F
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid import Field, norm_l2
-from .spectral import SpectralPlan, _inner, _irfft
+from .spectral import SpectralPlan, _inner
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheme import SchemeParams, StepState
@@ -139,7 +139,7 @@ class LineSearchCubic:
 
 
 class UpdateOperator:
-    """N, the objective, the search directions and the line-search cubic of one update.
+    """Residual, objective, search directions and line-search cubic of one update.
 
     With Lambda the symbol of -lap4 (so 1/Lambda is the inverse Laplacian on
     mean-zero data) and H = 2 phi_k - 1/2 phi_km1,
@@ -147,14 +147,14 @@ class UpdateOperator:
         N[phi] = Lin + dt phi^3,   Lin^ = S phi^ - H^ / Lambda,
         S = 3/(2 Lambda) + dt (eps^2 + A dt) Lambda.
 
-    Lin is affine in phi: moving phi by alpha d moves Lin by alpha S d, so a
-    solve transforms phi and H once and then only each search direction.  The
-    preconditioner is the constant-coefficient Hessian of the objective at
-    phi_k, sigma = S + 3 dt mean(phi_k^2), built once per update.  S,
-    1/Lambda and 1/sigma vanish at the zero mode, which keeps every iterate
-    on the mass hyperplane of the initial guess.  :meth:`direction` keeps the spectra of
-    the last z and d, so one operator serves one solve.  Methods take and
-    return plain arrays on ``plan.grid``.
+    The residual r = P0(f - N[phi]) is kept as its spectrum P0(f^ - Lin^ -
+    dt rfft2(phi^3)).  Lin is affine in phi: :meth:`start` sets f^ - Lin^ and
+    :meth:`move` shifts it by -alpha S d^, so an iteration takes two transforms,
+    rfft2 of phi^3 and the inverse of d for the line search's pointwise sums.
+    The preconditioner is the Hessian symbol sigma = S + 3 dt mean(phi_k^2).
+    S, 1/Lambda and 1/sigma vanish at the zero mode, which keeps every iterate
+    on the mass hyperplane.  One operator serves one solve: it keeps the last z
+    and d, and returns its work buffers, which the next call overwrites.
     """
 
     def __init__(self, plan: SpectralPlan, params: SchemeParams, state: StepState):
@@ -169,19 +169,17 @@ class UpdateOperator:
         sigma = self.S + 3.0 * self.dt * float(np.vdot(phi_k, phi_k)) / phi_k.size
         sigma[0, 0] = np.inf  # 1/sigma = 0 at the zero mode
         self.inv_sigma = 1.0 / sigma
-        # conjugate-direction memory: [d^, S d^] of the last direction, z^ of
-        # the last residual and (r, z) of the last residual (0 before the first)
-        self._spec = np.zeros((2,) + sigma.shape, dtype=complex)
-        self._z_hat = np.empty(sigma.shape, dtype=complex)
-        self._rz = 0.0
+        # spectra: f^ - Lin^ at the iterate, r^, and z^ and d^ of the last
+        # direction (d^ = 0 before the first); (r, z), (r, d) and (d, S d) of it
+        self._lin_hat, self._r_hat, self._z_hat, self._d_hat = np.zeros((4, *sigma.shape), complex)
+        self._rz = self._rd = self._dsd = 0.0
+        self._d, self._work = np.empty((2,) + grid.shape)  # d, and room for phi^3 or phi d^2
 
-    def start(self, phi: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
-        """Lin at phi (one transform pair) and the objective F[phi]."""
+    def start(self, phi: np.ndarray, f: np.ndarray) -> float:
+        """Set f^ - Lin^ (the residual's linear part) at phi; return F[phi]."""
         plan, hd = self.plan, self.hd
-        hist = 2.0 * self.state.phi_curr.values - 0.5 * self.state.phi_prev.values
-        phi_hat, hist_hat = np.fft.rfft2(np.stack((phi, hist)))
-        # F first: at 512^2 a step then takes about a third fewer minor page
-        # faults than with lin first (glibc malloc reusing freed blocks, numpy 2.4)
+        phi_hat = np.fft.rfft2(phi)
+        hist_hat = np.fft.rfft2(2.0 * self.state.phi_curr.values - 0.5 * self.state.phi_prev.values)
         b_hat = 1.5 * phi_hat - hist_hat
         phi2 = phi * phi  # integer-power ufuncs are ~60x slower here
         F = (
@@ -190,54 +188,64 @@ class UpdateOperator:
             + 0.5 * self.visc * _inner(plan, phi_hat, plan.Lambda_long * phi_hat)
             - hd * float(np.sum(f * phi))
         )
-        lin = _irfft(plan, self.S * phi_hat - plan.inv_Lambda * hist_hat)
-        return lin, F
+        np.fft.rfft2(f, out=self._lin_hat)
+        self._lin_hat -= self.S * phi_hat - plan.inv_Lambda * hist_hat
+        return F
 
-    def N(self, lin: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """N[phi] from its linear part; returns a new array."""
-        out = phi * phi
-        out *= phi
-        out *= self.dt
-        out += lin
-        return out
+    def residual(self, phi: np.ndarray) -> np.ndarray:
+        """The spectrum r^ of r = P0(f - N[phi]), for phi at the iterate of f^ - Lin^."""
+        cube = np.multiply(phi, phi, out=self._work)
+        cube *= phi
+        cube *= self.dt
+        r_hat = np.fft.rfft2(cube, out=self._r_hat)
+        np.subtract(self._lin_hat, r_hat, out=r_hat)
+        r_hat[0, 0] = 0.0
+        return r_hat
 
-    def direction(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Next search direction d and S d for the mean-zero residual r.
+    def direction(self, r_hat: np.ndarray) -> np.ndarray:
+        """Next search direction d for the residual spectrum r^.
 
-        The first call of a solve gives z = r / sigma; later calls give the
-        PR+ direction z + beta d_prev, or z again where (r, d) <= 0.  The inner
-        products come from the spectra in hand, so a call costs one rfft2 of
-        r and one batched irfft2 of [d^, S d^].
+        The first call of a solve gives z = r / sigma; later calls give the PR+
+        direction z + beta d_prev, or z again where (r, d) <= 0.  Keeps d^,
+        (r, d) and (d, S d) for :meth:`cubic`.
         """
-        plan, spec, z_hat, rz_prev = self.plan, self._spec, self._z_hat, self._rz
-        r_hat = np.fft.rfft2(r)
+        plan, z_hat, d_hat, rz_prev = self.plan, self._z_hat, self._d_hat, self._rz
         r_zprev = _inner(plan, r_hat, z_hat) if rz_prev else 0.0
         np.multiply(r_hat, self.inv_sigma, out=z_hat)
         rz = _inner(plan, r_hat, z_hat)
         beta = max(0.0, (rz - r_zprev) / rz_prev) if rz_prev else 0.0
-        if beta > 0.0 and rz + beta * _inner(plan, r_hat, spec[0]) <= 0.0:
-            beta = 0.0  # restart: c0 = -(r, d) would not be negative
-        del r_hat  # before the inverse transform allocates its output
-        self._rz = rz
-        spec[0] *= beta
-        spec[0] += z_hat
-        np.multiply(spec[0], self.S, out=spec[1])
-        d, sd = _irfft(plan, spec)
-        return d, sd
+        rd = rz + beta * _inner(plan, r_hat, d_hat) if beta > 0.0 else rz
+        if rd <= 0.0:
+            beta, rd = 0.0, rz  # restart: c0 = -(r, d) would not be negative
+        d_hat *= beta
+        d_hat += z_hat
+        # r^ is spent: its buffer holds S d^, then the column pass of irfft2,
+        # done in two passes because np.fft.irfft2 ignores its out= argument
+        sd_hat = np.multiply(d_hat, self.S, out=self._r_hat)
+        self._rz, self._rd, self._dsd = rz, rd, _inner(plan, d_hat, sd_hat)
+        np.fft.ifft(d_hat, axis=0, out=self._r_hat)
+        return np.fft.irfft(self._r_hat, n=plan.grid.m, axis=1, out=self._d)
 
-    def cubic(
-        self, phi: np.ndarray, r: np.ndarray, d: np.ndarray, sd: np.ndarray
-    ) -> LineSearchCubic:
-        """q(alpha) = (N[phi + alpha d] - f, d) for mean-zero d and r = P0(f - N[phi])."""
-        hd, dt = self.hd, self.dt
-        pd = phi * d
-        d2 = d * d
+    def cubic(self, phi: np.ndarray) -> LineSearchCubic:
+        """q(alpha) = (N[phi + alpha d] - f, d) along the last direction d from phi."""
+        hd, dt, d = self.hd, self.dt, self._d
+        w = np.multiply(d, d, out=self._work)
+        c3 = dt * hd * float(np.vdot(w, w))
+        w *= phi  # phi d^2
         return LineSearchCubic(
-            c0=-hd * float(np.vdot(r, d)),
-            c1=hd * float(np.vdot(d, sd)) + 3.0 * dt * hd * float(np.vdot(pd, pd)),
-            c2=3.0 * dt * hd * float(np.vdot(pd, d2)),
-            c3=dt * hd * float(np.vdot(d2, d2)),
+            c0=-self._rd,
+            c1=self._dsd + 3.0 * dt * hd * float(np.vdot(w, phi)),
+            c2=3.0 * dt * hd * float(np.vdot(w, d)),
+            c3=c3,
         )
+
+    def move(self, phi: np.ndarray, alpha: float) -> None:
+        """phi += alpha d in place, and f^ - Lin^ with it."""
+        sd_hat = np.multiply(self._d_hat, self.S, out=self._r_hat)
+        sd_hat *= alpha
+        self._lin_hat -= sd_hat
+        self._d *= alpha
+        phi += self._d
 
 
 def solve(
@@ -257,37 +265,28 @@ def solve(
     if rhs.grid != grid:
         raise ValueError("rhs grid does not match state grid")
     op = UpdateOperator(plan, params, state)
-    hd = op.hd
-
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
+    f0_norm = norm_l2(Field(grid, rhs.values - rhs.values.mean()))
+    tol = _TOL_FLOOR * (1.0 + norm_l2(rhs)) + TOL_REL * f0_norm
 
-    fvals = rhs.values
-    f0 = fvals - fvals.mean()
-    tol = _TOL_FLOOR * (1.0 + norm_l2(rhs)) + TOL_REL * float(np.sqrt(hd * np.sum(f0 * f0)))
-
-    lin, F = op.start(phi, fvals)
+    F = op.start(phi, rhs.values)
     residuals: list[float] = []
     objectives: list[float] = []
 
     for it in range(MAX_ITER + 1):
-        n = op.N(lin, phi)
-        r = np.subtract(fvals, n, out=n)
-        r -= r.mean()
-        rnorm = float(np.sqrt(hd * np.vdot(r, r)))
+        r_hat = op.residual(phi)
+        rnorm = float(np.sqrt(_inner(plan, r_hat, r_hat)))
         residuals.append(rnorm)
         objectives.append(F)
         if rnorm <= tol:
             return Field(grid, phi), SolveStats(it, residuals, objectives)
         if it == MAX_ITER:
             break
-        d, sd = op.direction(r)
-        cubic = op.cubic(phi, r, d, sd)
+        op.direction(r_hat)
+        cubic = op.cubic(phi)
         alpha = cubic.root()
         F += cubic.integral(alpha)
-        d *= alpha
-        phi += d
-        sd *= alpha
-        lin += sd
+        op.move(phi, alpha)
 
     tail = ", ".join(f"{v:.3e}" for v in residuals[-4:])
     raise SolverError(

@@ -229,6 +229,10 @@ def test_defaults_are_filled_in():
         {"initial": {"kind": "file", "path": 3}},  # path not a string
         {"physics": {"eps": 0.1, "A": -100.0}},  # the update objective need not be convex
         {"initial": {"kind": "file", "path": "x.chf", "seed": 99}},  # a warm start has no seed
+        {"output": {"dir": None}},  # `dir:` left empty in YAML
+        {"output": {"dir": 5}},
+        {"output": {"snapshot_times": [float("nan")]}},
+        {"output": {"formats": ["chf", "chf"]}},
     ],
 )
 def test_bad_configs_rejected(breakage):

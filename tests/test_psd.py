@@ -58,9 +58,8 @@ def smooth_state(grid, seed, beta0=0.0):
     )
 
 
-@pytest.fixture
-def problem():
-    grid = GridSpec(L=3.2, m=32)
+def make_problem(m):
+    grid = GridSpec(L=3.2, m=m)
     plan = make_plan(grid)
     params = SchemeParams(eps=0.1, dt=0.01)
     state = smooth_state(grid, seed=100, beta0=0.05)
@@ -68,12 +67,16 @@ def problem():
     return grid, plan, params, state, rhs
 
 
-def first_search(op, state, phi, rhs):
-    """(lin, r, d, Sd) of the operator at phi, as the first iteration of a solve."""
-    lin, _ = op.start(phi, rhs.values)
-    r = rhs.values - op.N(lin, phi)
-    r -= r.mean()
-    return (lin, r) + op.direction(r)
+@pytest.fixture
+def problem():
+    return make_problem(32)
+
+
+def first_search(op, phi, rhs):
+    """(F, r^, d) of the operator at phi, as the first iteration of a solve."""
+    F = op.start(phi, rhs.values)
+    r_hat = op.residual(phi).copy()
+    return F, r_hat, op.direction(r_hat)
 
 
 def rel_gap(a, b):
@@ -84,34 +87,56 @@ def rel_gap(a, b):
 # the update operator against the stencil-built oracles
 
 
-def test_operator_matches_stencil_oracles(problem):
-    grid, plan, params, state, rhs = problem
+def oracle_residual_hat(state, params, phi, rhs, plan):
+    return np.fft.rfft2(oracle_residual(state, params, phi, rhs, plan).values)
+
+
+def assert_operator_matches_oracles(grid, plan, params, state, rhs):
     op = UpdateOperator(plan, params, state)
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
-    lin, r, d, sd = first_search(op, state, phi, rhs)
-    assert rel_gap(op.N(lin, phi), oracle_N(state, params, phi, plan)) <= 1e-12
-    assert rel_gap(r, oracle_residual(state, params, phi, rhs, plan).values) <= 1e-12
-    assert op.start(phi, rhs.values)[1] == pytest.approx(
-        oracle_F(state, params, phi, rhs, plan), rel=1e-12)
-    d_oracle = oracle_precondition(Field(grid, r), hessian_sigma(state, params))
+    F, r_hat, d = first_search(op, phi, rhs)
+    assert rel_gap(r_hat, oracle_residual_hat(state, params, phi, rhs, plan)) <= 1e-12
+    assert F == pytest.approx(oracle_F(state, params, phi, rhs, plan), rel=1e-12)
+    r = Field(grid, np.fft.irfft2(r_hat, s=grid.shape))
+    d_oracle = oracle_precondition(r, hessian_sigma(state, params))
     assert rel_gap(d, d_oracle.values) <= 1e-12
-    q = op.cubic(phi, r, d, sd)
+    # the two-pass inverse transform into the operator's buffer is irfft2, bit for bit
+    assert np.array_equal(d, np.fft.irfft2(r_hat * op.inv_sigma, s=grid.shape))
+    q = op.cubic(phi)
     q_oracle = oracle_cubic(state, params, phi, d_oracle, rhs, plan)
     for name in ("c0", "c1", "c2", "c3"):
         assert getattr(q, name) == pytest.approx(getattr(q_oracle, name), rel=1e-12), name
-    # moving phi along d moves the linear part of N along S d
+    # moving phi along d moves the linear part of the residual along S d
     alpha = q.root()
-    assert rel_gap(op.N(lin + alpha * sd, phi + alpha * d),
-                   oracle_N(state, params, phi + alpha * d, plan)) <= 1e-12
+    moved = phi + alpha * d
+    op.move(phi, alpha)
+    assert np.array_equal(phi, moved)
+    assert rel_gap(op.residual(phi), oracle_residual_hat(state, params, moved, rhs, plan)) <= 1e-12
 
 
-def test_solve_matches_oracle_psd_loop(problem, monkeypatch):
-    grid, plan, params, state, rhs = problem
-    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-12)
+def assert_solve_matches_oracle_psd(grid, plan, params, state, rhs):
     phi, stats = solve(state, params, rhs, plan)
     phi_oracle, iterations = oracle_psd(state, params, rhs, plan)
     assert stats.iterations == iterations
     assert np.max(np.abs(phi.values - phi_oracle)) <= 1e-12
+
+
+def test_operator_matches_stencil_oracles(problem):
+    assert_operator_matches_oracles(*problem)
+
+
+def test_solve_matches_oracle_psd_loop(problem, monkeypatch):
+    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-12)
+    assert_solve_matches_oracle_psd(*problem)
+
+
+@pytest.mark.parametrize("m", [31, 33])
+def test_odd_grids_match_the_oracles(m, monkeypatch):
+    """An odd m has no Nyquist column in the rfft layout."""
+    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-12)
+    problem = make_problem(m)
+    assert_operator_matches_oracles(*problem)
+    assert_solve_matches_oracle_psd(*problem)
 
 
 def test_solve_matches_paper_method_in_fewer_iterations(problem):
@@ -120,6 +145,22 @@ def test_solve_matches_paper_method_in_fewer_iterations(problem):
     phi_ref, ref_iterations = reference_psd(state, params, rhs, plan)
     assert rel_gap(phi.values, phi_ref) <= 1e-9
     assert stats.iterations < ref_iterations
+
+
+def test_an_iteration_takes_one_transform_each_way(problem, monkeypatch):
+    """start transforms f, phi and the history; then each residual is one rfft2
+    and each direction one inverse transform (ifft over axis 0, irfft over 1)."""
+    calls = dict.fromkeys(("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    grid, plan, params, state, rhs = problem
+    _, stats = solve(state, params, rhs, plan)
+    n = stats.iterations
+    assert n > 3
+    assert {k: v for k, v in calls.items() if v} == {"rfft2": 3 + n + 1, "ifft": n, "irfft": n}
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +204,8 @@ def test_line_search_minimizes_objective(problem):
     grid, plan, params, state, rhs = problem
     op = UpdateOperator(plan, params, state)
     phi = state.phi_curr.values
-    _, r, d, sd = first_search(op, state, phi, rhs)
-    alpha = op.cubic(phi, r, d, sd).root()
+    _, _, d = first_search(op, phi, rhs)
+    alpha = op.cubic(phi).root()
 
     def F_along(a):
         return oracle_F(state, params, phi + a * d, rhs, plan)
@@ -186,26 +227,27 @@ def test_line_search_cubic_coefficients_signs(problem):
     grid, plan, params, state, rhs = problem
     op = UpdateOperator(plan, params, state)
     phi = state.phi_curr.values
-    _, r, d, sd = first_search(op, state, phi, rhs)
-    q = op.cubic(phi, r, d, sd)
+    _, r_hat, d = first_search(op, phi, rhs)
+    q = op.cubic(phi)
     assert q.c0 < 0  # descent direction
     assert q.c1 > 0
     assert q.c3 >= 0
     assert_bracketed(q)
-    assert q.c0 == pytest.approx(-inner_l2(Field(grid, r), Field(grid, d)), rel=1e-10)
+    r = Field(grid, np.fft.irfft2(r_hat, s=grid.shape))
+    assert q.c0 == pytest.approx(-inner_l2(r, Field(grid, d)), rel=1e-10)
 
 
 def test_restart_returns_a_descent_step(problem):
     """Where the PR+ direction is not a descent direction, it restarts at z."""
     grid, plan, params, state, rhs = problem
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
-    _, r, z, _ = first_search(UpdateOperator(plan, params, state), state, phi, rhs)
+    _, r_hat, z = first_search(UpdateOperator(plan, params, state), phi, rhs)
     op = UpdateOperator(plan, params, state)
     # after a previous residual -r, beta = 2 and z + beta d_prev = -z: ascent
-    op.direction(-r)
-    d, sd = op.direction(r)
+    op.direction(-r_hat)
+    d = op.direction(r_hat)
     assert rel_gap(d, z) <= 1e-12
-    q = op.cubic(phi, r, d, sd)
+    q = op.cubic(phi)
     assert q.c0 < 0.0
     alpha = q.root()
     assert alpha > 0.0
@@ -217,10 +259,10 @@ def test_zero_direction_rejected(problem):
     grid, plan, params, state, rhs = problem
     op = UpdateOperator(plan, params, state)
     phi = state.phi_curr.values
-    _, r, _, _ = first_search(op, state, phi, rhs)
-    zero = np.zeros(grid.shape)
+    _, r_hat, _ = first_search(op, phi, rhs)
+    op.direction(np.zeros_like(r_hat))
     with pytest.raises(ValueError):
-        op.cubic(phi, r, zero, zero).root()
+        op.cubic(phi).root()
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,9 @@ def test_hminus1_is_a_norm(grid32):
 
 
 def test_preconditioner_single_mode():
-    """The first search direction of a solve is r / sigma and S r / sigma, with
-    sigma = S + 3 dt mean(phi_k^2) the Hessian symbol of the update."""
+    """The first search direction of a solve is d = r / sigma, with sigma =
+    S + 3 dt mean(phi_k^2) the Hessian symbol of the update, and the
+    line-search cubic's c1 at phi = 0 is (d, S d) = S / sigma^2 |r|^2."""
     grid = GridSpec(L=3.2, m=32)
     plan = make_plan(grid)
     dt, eps, A = 0.01, 0.1, 1.0 / 16.0
@@ -136,9 +137,10 @@ def test_preconditioner_single_mode():
     Lam = -(lam1(kx) + lam1(ky))
     S = 1.5 / Lam + dt * (eps**2 + A * dt) * Lam
     sigma = S + 3 * dt * np.mean(phi_k.values**2)
-    d, sd = op.direction(f.values)
+    d = op.direction(np.fft.rfft2(f.values))
     assert np.allclose(d, f.values / sigma, rtol=1e-12, atol=1e-14)
-    assert np.allclose(sd, f.values * S / sigma, rtol=1e-12, atol=1e-14)
+    c1 = op.cubic(np.zeros(grid.shape)).c1
+    assert c1 == pytest.approx(S / sigma**2 * inner_l2(f, f), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
