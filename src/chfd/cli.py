@@ -198,9 +198,19 @@ def _step_plan(
     return segments, snap_steps
 
 
+def _finite(val) -> bool:
+    """Whether a YAML value is a number that a float holds finitely."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _number(sec: dict, section: str, key: str, default=None):
     val = sec.get(key, default)
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+    if not _finite(val):
         raise ConfigError(f"'{section}.{key}' must be a finite number, got {val!r}")
     return val
 
@@ -228,6 +238,8 @@ def parse_config(data: dict) -> RunConfig:
 
     grid_sec = _section(data, "grid", {"m"}, required={"m"})
     m = _integer(grid_sec, "grid", "m", minimum=5)
+    if m > 2**15:  # one field of 32768^2 cells takes 8 GiB
+        raise ConfigError(f"'grid.m' must be at most {2**15}, got {m!r}")
 
     physics = _section(data, "physics", {"eps", "A"})
     eps = float(_number(physics, "physics", "eps", 0.05))
@@ -284,7 +296,7 @@ def parse_config(data: dict) -> RunConfig:
         isinstance(t, (int, float)) and not isinstance(t, bool) for t in snap_times
     ):
         raise ConfigError("'output.snapshot_times' must be a list of numbers")
-    bad_times = [t for t in snap_times if not math.isfinite(t)]
+    bad_times = [t for t in snap_times if not _finite(t)]
     if bad_times:
         raise ConfigError(f"'output.snapshot_times' must be finite, got {bad_times[0]!r}")
     formats = out_sec.get("formats", ["chf"])

@@ -46,7 +46,7 @@ def energy(phi: Field, eps: float, plan: SpectralPlan) -> float:
     grid = phi.grid
     hd = grid.h**2
     well = 0.25 * hd * float(np.sum((phi.values**2 - 1.0) ** 2))
-    spec = np.fft.rfft2(phi.values)
+    spec = phi.spectrum
     return well + 0.5 * eps**2 * _inner(plan, spec, plan.Lambda_long * spec)
 
 
@@ -66,11 +66,9 @@ def modified_energy(
     m_new, m_old = mean(phi_new), mean(phi_old)
     if abs(m_new - m_old) > 1e-9 * (1.0 + abs(m_old)):
         raise ValueError(f"means differ ({m_new!r} vs {m_old!r}); increment is not mean-free")
-    grid = phi_new.grid
-    diff = phi_new.values - phi_old.values
-    spec = np.fft.rfft2(diff)
+    spec = phi_new.spectrum - phi_old.spectrum
     hm1_sq = _inner(plan, spec, plan.inv_Lambda * spec)
-    l2_sq = grid.h**2 * float(np.sum(diff * diff))
+    l2_sq = _inner(plan, spec, spec)
     return E + hm1_sq / (4.0 * dt) + 0.5 * l2_sq
 
 

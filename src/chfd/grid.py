@@ -7,6 +7,7 @@ integrals are plain midpoint quadrature, so the L2 pairing is
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -71,8 +72,10 @@ class Field:
                 f"values shape {self.values.shape} does not match grid shape {self.grid.shape}"
             )
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """``np.fft.rfft2(values)``, computed once: nothing writes into a field once it is made."""
+        return np.fft.rfft2(self.values)
 
 
 def _check_same_grid(f: Field, g: Field) -> None:

@@ -95,6 +95,8 @@ def read_snapshot(path: str | os.PathLike) -> tuple[Field, float]:
         if len(payload) != mx * my * 8:
             raise SnapshotFormatError(f"truncated payload in {path}")
         values = np.frombuffer(payload, dtype="<f8").reshape(mx, my)
+    if not np.all(np.isfinite(values)):
+        raise SnapshotFormatError(f"non-finite values in the payload of {path}")
     grid = GridSpec(L=L, m=mx)
     return Field(grid, values.copy()), t
 

@@ -18,16 +18,18 @@ critical-point problem  N[phi] = f  on the mass hyperplane, with
     N[phi] = (-lap4)^{-1}(3/2 phi - 2 phi_k + 1/2 phi_km1)
              + dt phi^3 - dt (A dt + eps^2) lap4 phi
 
-and f from :func:`assemble_rhs`.  N is the gradient of a strictly convex
-objective; :mod:`chfd.psd` holds both in Fourier form and minimizes it.
+and f, whose spectrum :func:`assemble_rhs` returns.  N is the gradient of a
+strictly convex objective; :mod:`chfd.psd` holds both in Fourier form and
+minimizes it.
 
 lap4 is diagonal in the discrete Fourier basis with symbol -Lambda
-(:mod:`chfd.spectral`), and the stepper applies it only that way.  In that
-form the right-hand side is
+(:mod:`chfd.spectral`), and the stepper applies it only that way.  The
+right-hand side is kept as its spectrum
 
-    f = dt (2 phi_k - phi_km1) + IFFT[ A dt^2 Lambda phi_k^ + dt S^ / Lambda ],
+    f^ = A dt^2 Lambda phi_k^ + 2 dt phi_k^ - dt phi_km1^ + dt S^ / Lambda,
 
-with the zero mode of the bracket set to 0.  The stencil operators of
+built from the history fields' cached spectra (``Field.spectrum``), with
+1/Lambda set to 0 at the zero mode.  The stencil operators of
 :mod:`chfd.operators` build only the verification forcing
 :func:`manufactured_source_stencil`.
 """
@@ -43,13 +45,7 @@ from . import psd as _psd
 from .diagnostics import EnergyRecord, energy, modified_energy
 from .grid import Field, GridSpec, field_from_fn, mean
 from .operators import laplace_long
-from .spectral import (
-    SpectralPlan,
-    _check_same_grid,
-    _irfft,
-    laplace_long_spectral,
-    make_plan,
-)
+from .spectral import SpectralPlan, _check_same_grid, laplace_long_spectral, make_plan
 
 __all__ = [
     "SchemeParams",
@@ -215,7 +211,7 @@ def ghost_init(phi0: Field, params: SchemeParams, source: Source | None = None) 
     if source is not None:
         rate = rate + sample_source(source, phi0.grid, 0.0).values
     phi_m1 = Field(phi0.grid, phi0.values - params.dt * rate)
-    return StepState(phi_prev=phi_m1, phi_curr=phi0.copy(), t=0.0, beta0=mean(phi0), step_index=0)
+    return StepState(phi_prev=phi_m1, phi_curr=phi0, t=0.0, beta0=mean(phi0), step_index=0)
 
 
 def restart_flat(phi0: Field, t: float = 0.0) -> StepState:
@@ -235,26 +231,22 @@ def assemble_rhs(
     params: SchemeParams,
     plan: SpectralPlan,
     source: Source | None = None,
-) -> Field:
-    """Explicit right-hand side of the critical-point problem N[phi] = f.
+) -> np.ndarray:
+    """Spectrum f^ (rfft layout) of the right-hand side of N[phi] = f.
 
     f = 2 dt phi_k - dt phi_km1 - A dt^2 lap4 phi_k, plus
     dt * (-lap4)^{-1} S(t_{k+1}) when a source is present (the whole update
     equation is mapped through the negative inverse Laplacian, so the source
-    enters through it as well).  One inverse transform returns both terms.
+    enters through it as well).  The history enters through its cached
+    spectra; a source adds one transform.
     """
     _check_same_grid(plan, state.phi_curr)
-    grid = plan.grid
-    dt, A = params.dt, params.A
-    phi_k = state.phi_curr.values
-    f = 2.0 * dt * phi_k - dt * state.phi_prev.values
-    spec = np.fft.rfft2(phi_k)
-    spec *= A * dt**2 * plan.Lambda_long
+    dt = params.dt
+    f_hat = np.multiply(params.A * dt**2 * plan.Lambda_long + 2.0 * dt, state.phi_curr.spectrum)
+    f_hat -= dt * state.phi_prev.spectrum
     if source is not None:
-        svals = sample_source(source, grid, state.t + dt).values
-        spec += dt * plan.inv_Lambda * np.fft.rfft2(svals)
-    f += _irfft(plan, spec)
-    return Field(grid, f)
+        f_hat += dt * plan.inv_Lambda * sample_source(source, plan.grid, state.t + dt).spectrum
+    return f_hat
 
 
 def step(

@@ -77,6 +77,11 @@ def brute_inner(a: np.ndarray, b: np.ndarray, h: float) -> float:
 # B = 3/2 phi - 2 phi_k + 1/2 phi_km1, and its objective F
 
 
+def rhs_field(grid: GridSpec, rhs_hat: np.ndarray) -> Field:
+    """The right-hand side f on the grid, from the spectrum ``assemble_rhs`` returns."""
+    return Field(grid, np.fft.irfft2(rhs_hat, s=grid.shape))
+
+
 def _history_combination(state, phi: np.ndarray) -> Field:
     return Field(
         state.phi_curr.grid,
@@ -92,7 +97,7 @@ def oracle_N(state, params, phi: np.ndarray, plan) -> np.ndarray:
     return TB + params.dt * phi**3 - visc * lap
 
 
-def oracle_F(state, params, phi: np.ndarray, rhs: Field, plan) -> float:
+def oracle_F(state, params, phi: np.ndarray, rhs: np.ndarray, plan) -> float:
     """F = 1/3 |B|_{-1}^2 + dt/4 |phi|_4^4 + dt/2 (A dt + eps^2) (phi, -lap4 phi) - (f, phi)."""
     grid = state.phi_curr.grid
     f = Field(grid, phi)
@@ -102,23 +107,26 @@ def oracle_F(state, params, phi: np.ndarray, rhs: Field, plan) -> float:
         inner_l2(B, invert_laplace_long(plan, B)) / 3.0
         + 0.25 * params.dt * grid.h**2 * float(np.sum(phi**4))
         + 0.5 * visc * inner_l2(f, Field(grid, -laplace_long(f).values))
-        - inner_l2(rhs, f)
+        - inner_l2(rhs_field(grid, rhs), f)
     )
 
 
-def oracle_residual(state, params, phi: np.ndarray, rhs: Field, plan) -> Field:
-    r = rhs.values - oracle_N(state, params, phi, plan)
-    return Field(rhs.grid, r - r.mean())
+def oracle_residual(state, params, phi: np.ndarray, rhs: np.ndarray, plan) -> Field:
+    grid = state.phi_curr.grid
+    r = rhs_field(grid, rhs).values - oracle_N(state, params, phi, plan)
+    return Field(grid, r - r.mean())
 
 
-def oracle_cubic(state, params, phi: np.ndarray, d: Field, rhs: Field, plan) -> LineSearchCubic:
+def oracle_cubic(
+    state, params, phi: np.ndarray, d: Field, rhs: np.ndarray, plan
+) -> LineSearchCubic:
     """Coefficients of q(alpha) = (N[phi + alpha d] - f, d) for mean-zero d."""
     grid = state.phi_curr.grid
     hd = grid.h**2
     dt = params.dt
     visc = dt * (params.A * dt + params.eps**2)
     dv = d.values
-    gap = Field(grid, oracle_N(state, params, phi, plan) - rhs.values)
+    gap = Field(grid, oracle_N(state, params, phi, plan) - rhs_field(grid, rhs).values)
     return LineSearchCubic(
         c0=inner_l2(gap, d),
         c1=1.5 * hminus1_norm(plan, d) ** 2
@@ -164,17 +172,18 @@ def oracle_precondition(r: Field, sigma: np.ndarray) -> Field:
     return Field(r.grid, np.fft.ifft2(np.fft.fft2(r.values) / sigma).real)
 
 
-def _oracle_descent(state, params, rhs: Field, plan, sigma, conjugate: bool):
+def _oracle_descent(state, params, rhs: np.ndarray, plan, sigma, conjugate: bool):
     """Exact-line-search descent from the extrapolated guess.
 
     Same stopping rule as ``chfd.psd.solve``, read from the same (possibly
     monkeypatched) constants; returns (phi, iterations).  With ``conjugate``
     the directions are PR+ ones, restarted at z when the cubic's c0 >= 0.
     """
-    grid = rhs.grid
+    grid = state.phi_curr.grid
+    f = rhs_field(grid, rhs)
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
-    f0 = Field(grid, rhs.values - rhs.values.mean())
-    tol = _TOL_FLOOR * (1.0 + norm_l2(rhs)) + chfd.psd.TOL_REL * norm_l2(f0)
+    f0 = Field(grid, f.values - f.values.mean())
+    tol = _TOL_FLOOR * (1.0 + norm_l2(f)) + chfd.psd.TOL_REL * norm_l2(f0)
     d = None
     for it in range(chfd.psd.MAX_ITER + 1):
         r = oracle_residual(state, params, phi, rhs, plan)
@@ -196,14 +205,15 @@ def _oracle_descent(state, params, rhs: Field, plan, sigma, conjugate: bool):
     raise RuntimeError(f"oracle loop did not converge in {chfd.psd.MAX_ITER} iterations")
 
 
-def oracle_psd(state, params, rhs: Field, plan) -> tuple[np.ndarray, int]:
+def oracle_psd(state, params, rhs: np.ndarray, plan) -> tuple[np.ndarray, int]:
     """The production method: Hessian symbol and PR+ conjugate directions."""
     return _oracle_descent(state, params, rhs, plan, hessian_sigma(state, params), True)
 
 
-def reference_psd(state, params, rhs: Field, plan) -> tuple[np.ndarray, int]:
+def reference_psd(state, params, rhs: np.ndarray, plan) -> tuple[np.ndarray, int]:
     """The paper's method: its symbol and steepest descent."""
-    return _oracle_descent(state, params, rhs, plan, paper_sigma(rhs.grid, params), False)
+    sigma = paper_sigma(state.phi_curr.grid, params)
+    return _oracle_descent(state, params, rhs, plan, sigma, False)
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +247,15 @@ def grid32() -> GridSpec:
 @pytest.fixture
 def grid16() -> GridSpec:
     return GridSpec(L=2.0, m=16)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch) -> dict[str, int]:
+    """Counts of the ``numpy.fft`` transforms called from here on, by name."""
+    calls = dict.fromkeys(("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

@@ -139,6 +139,13 @@ def test_read_snapshot_rejects_garbage(tmp_path):
         p.write_bytes(header.encode() + b"\n" + b"\x00" * 128)
         with pytest.raises(SnapshotFormatError, match="bad header values"):
             read_snapshot(p)
+    # a payload no run can start from
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = np.zeros((4, 4))
+        vals[1, 2] = bad
+        p.write_bytes(b"CHF1 4 4 1.0 0.0\n" + vals.astype("<f8").tobytes())
+        with pytest.raises(SnapshotFormatError, match="non-finite values"):
+            read_snapshot(p)
 
 
 def test_pgm_encoding(tmp_path):
@@ -233,6 +240,9 @@ def test_defaults_are_filled_in():
         {"output": {"dir": 5}},
         {"output": {"snapshot_times": [float("nan")]}},
         {"output": {"formats": ["chf", "chf"]}},
+        {"physics": {"eps": 10**400}},  # an int too large for a float
+        {"output": {"snapshot_times": [10**400]}},
+        {"grid": {"m": 10**400}},
     ],
 )
 def test_bad_configs_rejected(breakage):
@@ -394,6 +404,20 @@ def test_steps_are_numbered_through_a_dt_change(tmp_path):
         assert read_snapshot(tmp_path / "two" / f"snap_{i:03d}.chf")[1] == t
 
 
+def test_history_spectra_stay_those_of_the_values(tmp_path):
+    """Every spectrum a run caches is that of the field as it stands: nothing
+    writes into a field, across a warm start and a dt change."""
+    grid = GridSpec(L=3.2, m=16)
+    warm = tmp_path / "warm.chf"
+    write_snapshot(random_initial_field(grid, 0.0, 0.1, seed=11), warm, t=0.02)
+    data = base_config(initial={"kind": "file", "path": str(warm)},
+                       schedule=[{"dt": 0.01, "t_end": 0.05}, {"dt": 0.02, "t_end": 0.09}])
+    state = run_simulation(parse_config(data), write_outputs=False).state
+    for field in (state.phi_prev, state.phi_curr):
+        assert "spectrum" in vars(field)  # cached during the run
+        assert np.array_equal(field.spectrum, np.fft.rfft2(field.values))
+
+
 def test_run_result_keeps_the_energy_csv_rows_only(tmp_path):
     data = base_config(schedule=[{"dt": 0.01, "t_end": 0.12}],
                        output={"dir": str(tmp_path / "every5"), "energy_every": 5})
@@ -465,6 +489,14 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("")
     assert main(["verify", "all", "--out", str(taken)]) == 2
+    # 3: a residual that is not finite (phi^3 overflows)
+    overflow = tmp_path / "overflow.yaml"
+    overflow.write_text(yaml.safe_dump(base_config(
+        initial={"kind": "random", "seed": 1, "amplitude": 1.0e120},
+        output={"dir": str(tmp_path / "o")},
+    )))
+    with np.errstate(all="ignore"):
+        assert main(["run", str(overflow)]) == 3
     # 3: solver failure (impossible tolerance, one-iteration budget)
     monkeypatch.setattr(chfd.psd, "MAX_ITER", 1)
     monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-16)
@@ -482,12 +514,19 @@ def test_run_reports_unusable_files_as_config_errors(tmp_path, capsys):
     truncated.write_bytes(b"CHF1 16 16 3.2 0.0\n" + b"\x00" * 16)
     timeless = tmp_path / "timeless.chf"
     timeless.write_bytes(b"CHF1 16 16 3.2 nan\n" + b"\x00" * (16 * 16 * 8))
+    nan_cell, inf_cell = tmp_path / "nan.chf", tmp_path / "inf.chf"
+    for path, bad in ((nan_cell, np.nan), (inf_cell, np.inf)):
+        vals = np.zeros((16, 16))
+        vals[3, 4] = bad
+        path.write_bytes(b"CHF1 16 16 3.2 0.0\n" + vals.astype("<f8").tobytes())
     taken = tmp_path / "taken"
     taken.write_text("")
     for bad_path, section in [
         (missing, {"initial": {"kind": "file", "path": str(missing)}}),
         (truncated, {"initial": {"kind": "file", "path": str(truncated)}}),
         (timeless, {"initial": {"kind": "file", "path": str(timeless)}}),  # t = nan
+        (nan_cell, {"initial": {"kind": "file", "path": str(nan_cell)}}),
+        (inf_cell, {"initial": {"kind": "file", "path": str(inf_cell)}}),
         (taken, {"output": {"dir": str(taken)}}),  # output dir is a file
     ]:
         config = tmp_path / "c.yaml"

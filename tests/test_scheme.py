@@ -24,7 +24,7 @@ from chfd import (
 from chfd.grid import full
 from chfd.scheme import SchemeParams, StepState, sample_source
 
-from conftest import random_field
+from conftest import random_field, rhs_field
 
 
 def flat_state(phi):
@@ -149,7 +149,7 @@ def test_rhs_for_constant_history_is_dt_c():
     grid = GridSpec(L=2.0, m=16)
     dt, c = 0.02, -0.4
     state = flat_state(full(grid, c))
-    f = assemble_rhs(state, SchemeParams(eps=0.1, dt=dt), make_plan(grid))
+    f = rhs_field(grid, assemble_rhs(state, SchemeParams(eps=0.1, dt=dt), make_plan(grid)))
     assert np.allclose(f.values, dt * c, rtol=1e-14, atol=1e-16)
 
 
@@ -161,7 +161,7 @@ def test_rhs_mean_is_dt_beta0(grid32):
         beta0=0.0,
     )
     dt = 0.015
-    f = assemble_rhs(state, SchemeParams(eps=0.1, dt=dt), make_plan(grid32))
+    f = rhs_field(grid32, assemble_rhs(state, SchemeParams(eps=0.1, dt=dt), make_plan(grid32)))
     beta_curr = 2 * mean(state.phi_curr) - mean(state.phi_prev)
     assert mean(f) == pytest.approx(dt * beta_curr, rel=1e-12, abs=1e-16)
 
@@ -174,7 +174,7 @@ def test_rhs_matches_direct_formula(grid32):
         beta0=0.0,
     )
     dt, A = 0.01, 1.0 / 16.0
-    f = assemble_rhs(state, SchemeParams(eps=0.1, dt=dt, A=A), make_plan(grid32))
+    f = rhs_field(grid32, assemble_rhs(state, SchemeParams(eps=0.1, dt=dt, A=A), make_plan(grid32)))
     direct = (
         2 * dt * state.phi_curr.values
         - dt * state.phi_prev.values
@@ -193,14 +193,15 @@ def test_forced_rhs_adds_inverse_laplacian_of_source():
     state = flat_state(phi0)
     src = manufactured_source(eps, grid.L)
     params = SchemeParams(eps=eps, dt=dt)
-    diff = assemble_rhs(state, params, plan, src).values - assemble_rhs(state, params, plan).values
-    recovered = -laplace_long(Field(grid, diff / dt)).values
+    diff_hat = assemble_rhs(state, params, plan, src) - assemble_rhs(state, params, plan)
+    diff = rhs_field(grid, diff_hat)
+    recovered = -laplace_long(Field(grid, diff.values / dt)).values
     expected = sample_source(src, grid, dt).values
     assert np.allclose(recovered, expected, rtol=0, atol=1e-10 * (1 + np.max(np.abs(expected))))
 
 
 def objective_at(op, phi, f):
-    return op.start(phi, f.values)
+    return op.start(phi, f)
 
 
 def test_objective_directional_derivative_is_residual():
@@ -229,7 +230,7 @@ def test_objective_directional_derivative_is_residual():
         return objective_at(op, phi.values + a * d.values, f)
 
     fd = (F_at(alpha) - F_at(-alpha)) / (2 * alpha)
-    op.start(phi.values, f.values)
+    op.start(phi.values, f)
     # the residual is P0(f - N[phi]); d is mean-zero, so (N[phi] - f, d) = -(r, d)
     residual = Field(grid, np.fft.irfft2(op.residual(phi.values), s=grid.shape))
     assert fd == pytest.approx(-inner_l2(residual, d), rel=1e-6, abs=1e-10)
@@ -313,6 +314,20 @@ def test_step_decreases_modified_energy(grid32):
         e_mods.append(diag.record.E_mod)
     drops = np.diff(e_mods)
     assert np.all(drops <= 1e-10 * np.abs(e_mods[:-1]))
+
+
+def test_a_steady_state_step_transforms_each_field_once(grid32, fft_calls):
+    """Past the first step the history's spectra are cached: a step transforms
+    the guess, each residual and the new field, and brings back only the
+    search directions."""
+    plan = make_plan(grid32)
+    params = SchemeParams(eps=0.1, dt=0.01)
+    state, _ = step(restart_flat(random_field(grid32, 53, scale=0.2)), params, plan)
+    fft_calls.update(dict.fromkeys(fft_calls, 0))
+    state, diag = step(state, params, plan)
+    n = diag.solve.iterations
+    assert n > 3
+    assert {k: v for k, v in fft_calls.items() if v} == {"rfft2": n + 3, "ifft": n, "irfft": n}
 
 
 def test_stepper_applies_lap4_without_stencil_rolls(grid32, monkeypatch):
