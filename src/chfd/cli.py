@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -440,7 +441,10 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
             except OSError as exc:
                 raise ConfigError(f"cannot write output directory {out_dir}: {exc}") from exc
 
-        E0 = energy(state.phi_curr, config.eps, plan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            E0 = energy(state.phi_curr, config.eps, plan)
+        if not math.isfinite(E0):
+            raise NonFiniteStateError(f"initial energy not finite at t={state.t:g}: E = {E0}")
         rec0 = EnergyRecord(
             step=0,
             t=state.t,

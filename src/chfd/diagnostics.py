@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Field, mean
+from .grid import Field, _check_same_grid, mean
 from .spectral import SpectralPlan, _inner
 
 __all__ = ["EnergyRecord", "energy", "modified_energy", "fit_power_law"]
@@ -43,8 +43,8 @@ class EnergyRecord:
 
 def energy(phi: Field, eps: float, plan: SpectralPlan) -> float:
     """Free energy; nonnegative by construction."""
-    grid = phi.grid
-    hd = grid.h**2
+    _check_same_grid(plan, phi)
+    hd = phi.grid.h**2
     well = 0.25 * hd * float(np.sum((phi.values**2 - 1.0) ** 2))
     spec = phi.spectrum
     return well + 0.5 * eps**2 * _inner(plan, spec, plan.Lambda_long * spec)
@@ -63,6 +63,8 @@ def modified_energy(
     Requires mean(phi_new) = mean(phi_old) so the increment has a well-defined
     H^{-1} norm.
     """
+    _check_same_grid(plan, phi_new)
+    _check_same_grid(phi_new, phi_old)
     m_new, m_old = mean(phi_new), mean(phi_old)
     if abs(m_new - m_old) > 1e-9 * (1.0 + abs(m_old)):
         raise ValueError(f"means differ ({m_new!r} vs {m_old!r}); increment is not mean-free")

@@ -78,7 +78,8 @@ class Field:
         return np.fft.rfft2(self.values)
 
 
-def _check_same_grid(f: Field, g: Field) -> None:
+def _check_same_grid(f, g) -> None:
+    """Raise unless ``f`` and ``g``, fields or spectral plans, are on one grid."""
     if f.grid != g.grid:
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
 

@@ -7,7 +7,7 @@ equation of the strictly convex objective
              + dt/2 (A dt + eps^2) |grad4 phi|^2 - (f, phi),
 
 with B = 3/2 phi - 2 phi_k + 1/2 phi_km1, on the mass hyperplane
-mean(phi) = beta0.  :class:`UpdateOperator` holds the residual, F and the
+mean(phi) = beta0.  :class:`UpdateOperator` holds the residual and the
 line-search cubic in Fourier form; :func:`solve` is the only loop that drives it.
 
 Each iteration projects the residual r onto the mean-zero subspace and
@@ -22,8 +22,8 @@ d: the derivative of F along d is the cubic
 
 with c0 = -(r, d) < 0, c1 > 0 and c2^2 <= 3 c1 c3, so q is increasing and the
 step size is its unique real root, in (0, -4 c0/c1].  Every step is a descent
-step and F never increases.  The objective is evaluated once, at the initial
-guess, and then advanced by the exact increment of each line search.
+step and F never increases.  F itself is never evaluated: the solve records
+its change from the initial guess, the sum of the exact line-search decreases.
 
 The paper's method (Feng, Salgado, Wang & Wise, J. Comput. Phys. 334, 2017)
 is steepest descent, d = z, with the symbol 1/Lambda + dt + dt (eps^2 +
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import Field
+from .grid import Field, _check_same_grid
 from .spectral import SpectralPlan, _inner
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,7 +76,7 @@ MAX_ITER = 200
 
 @dataclass
 class SolveStats:
-    """Iteration count plus per-iterate residual norms and objective values."""
+    """Iteration count, and per iterate the residual norm and F - F(guess), 0.0 first."""
 
     iterations: int
     residuals: list[float]
@@ -140,7 +140,7 @@ class LineSearchCubic:
 
 
 class UpdateOperator:
-    """Residual, objective, search directions and line-search cubic of one update.
+    """Residual, search directions and line-search cubic of one update.
 
     With Lambda the symbol of -lap4 (so 1/Lambda is the inverse Laplacian on
     mean-zero data) and H = 2 phi_k - 1/2 phi_km1,
@@ -163,9 +163,9 @@ class UpdateOperator:
         self.plan = plan
         self.state = state
         self.dt = params.dt
-        self.visc = params.dt * (params.A * params.dt + params.eps**2)
+        visc = params.dt * (params.A * params.dt + params.eps**2)
         self.hd = grid.h**2
-        self.S = 1.5 * plan.inv_Lambda + self.visc * plan.Lambda_long
+        self.S = 1.5 * plan.inv_Lambda + visc * plan.Lambda_long
         phi_k = state.phi_curr.values
         sigma = self.S + 3.0 * self.dt * float(np.vdot(phi_k, phi_k)) / phi_k.size
         sigma[0, 0] = np.inf  # 1/sigma = 0 at the zero mode
@@ -176,33 +176,20 @@ class UpdateOperator:
         self._rz = self._rd = self._dsd = 0.0
         self._d, self._work = np.empty((2,) + grid.shape)  # d, and room for phi^3 or phi d^2
 
-    def start(self, phi: np.ndarray, f_hat: np.ndarray) -> float:
-        """Set f^ - Lin^ (the residual's linear part) at phi; return F[phi].
+    def start(self, phi: np.ndarray, f_hat: np.ndarray) -> None:
+        """Set f^ - Lin^ (the residual's linear part) at phi.
 
-        phi^, H^ and B^ = 3/2 phi^ - H^ go in the d^, z^ and r^ buffers, idle until
-        the first residual (d^ is zeroed again after), and phi^2 in the work buffer:
-        fresh temporaries here raised a 512^2 run's peak memory by about 5 MiB.
+        phi^ and H^ use the idle d^ and z^ buffers: fresh ones raise a 512^2 run's peak memory.
         """
-        plan, hd, state = self.plan, self.hd, self.state
         phi_hat = np.fft.rfft2(phi, out=self._d_hat)
-        hist_hat = np.multiply(state.phi_prev.spectrum, -0.25, out=self._z_hat)
-        hist_hat += state.phi_curr.spectrum
+        hist_hat = np.multiply(self.state.phi_prev.spectrum, -0.25, out=self._z_hat)
+        hist_hat += self.state.phi_curr.spectrum
         hist_hat *= 2.0  # H^ = 2 (phi_k^ - phi_km1^ / 4) = 2 phi_k^ - phi_km1^ / 2
-        b_hat = np.multiply(phi_hat, 1.5, out=self._r_hat)
-        b_hat -= hist_hat
-        phi2 = np.multiply(phi, phi, out=self._work)
-        F = (
-            _inner(plan, b_hat, plan.inv_Lambda * b_hat) / 3.0
-            + 0.25 * self.dt * hd * float(np.vdot(phi2, phi2))
-            + 0.5 * self.visc * _inner(plan, phi_hat, plan.Lambda_long * phi_hat)
-            - _inner(plan, f_hat, phi_hat)
-        )
         lin_hat = np.multiply(phi_hat, self.S, out=self._lin_hat)
         np.subtract(f_hat, lin_hat, out=lin_hat)
-        hist_hat *= plan.inv_Lambda
+        hist_hat *= self.plan.inv_Lambda
         lin_hat += hist_hat
         self._d_hat.fill(0.0)
-        return F
 
     def residual(self, phi: np.ndarray) -> np.ndarray:
         """The spectrum r^ of r = P0(f - N[phi]), for phi at the iterate of f^ - Lin^."""
@@ -272,8 +259,10 @@ def solve(
     from the extrapolation 2 phi_k - phi_km1 and stops when
     |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + TOL_REL |P0 f|_2, within
     MAX_ITER iterations.  Raises :class:`SolverError` (carrying the residual
-    history) on non-convergence or at a residual that is not finite.
+    history) on non-convergence or at a residual that is not finite.  The state
+    must be on the plan's grid; f^ carries no grid and is checked by shape only.
     """
+    _check_same_grid(plan, state.phi_curr)
     if rhs.shape != plan.Lambda_long.shape:
         raise ValueError(f"rhs spectrum shape {rhs.shape} does not match the plan's grid")
     grid = state.phi_curr.grid
@@ -283,15 +272,14 @@ def solve(
     f0_sq = f_sq - grid.h**2 / grid.m**2 * abs(rhs[0, 0]) ** 2  # without the zero mode
     tol = _TOL_FLOOR * (1.0 + math.sqrt(f_sq)) + TOL_REL * math.sqrt(max(f0_sq, 0.0))
 
-    F = op.start(phi, rhs)
+    op.start(phi, rhs)
     residuals: list[float] = []
-    objectives: list[float] = []
+    objectives = [0.0]  # F - F(guess) at each iterate
 
     for it in range(MAX_ITER + 1):
         r_hat = op.residual(phi)
         rnorm = float(np.sqrt(_inner(plan, r_hat, r_hat)))
         residuals.append(rnorm)
-        objectives.append(F)
         if rnorm <= tol:
             return Field(grid, phi), SolveStats(it, residuals, objectives)
         if it == MAX_ITER or not math.isfinite(rnorm):
@@ -299,7 +287,7 @@ def solve(
         op.direction(r_hat)
         cubic = op.cubic(phi)
         alpha = cubic.root()
-        F += cubic.integral(alpha)
+        objectives.append(objectives[-1] + cubic.integral(alpha))
         op.move(phi, alpha)
 
     failure = (f"residual not finite at iteration {it}" if not math.isfinite(rnorm)

@@ -19,8 +19,8 @@ critical-point problem  N[phi] = f  on the mass hyperplane, with
              + dt phi^3 - dt (A dt + eps^2) lap4 phi
 
 and f, whose spectrum :func:`assemble_rhs` returns.  N is the gradient of a
-strictly convex objective; :mod:`chfd.psd` holds both in Fourier form and
-minimizes it.
+strictly convex objective; :mod:`chfd.psd` holds N in Fourier form and
+minimizes the objective by exact line searches, without evaluating it.
 
 lap4 is diagonal in the discrete Fourier basis with symbol -Lambda
 (:mod:`chfd.spectral`), and the stepper applies it only that way.  The
@@ -43,9 +43,9 @@ import numpy as np
 
 from . import psd as _psd
 from .diagnostics import EnergyRecord, energy, modified_energy
-from .grid import Field, GridSpec, field_from_fn, mean
+from .grid import Field, GridSpec, _check_same_grid, field_from_fn, mean
 from .operators import laplace_long
-from .spectral import SpectralPlan, _check_same_grid, laplace_long_spectral, make_plan
+from .spectral import SpectralPlan, laplace_long_spectral, make_plan
 
 __all__ = [
     "SchemeParams",
@@ -69,7 +69,7 @@ _MASS_DRIFT_TOL = 1e-11
 
 
 class NonFiniteStateError(RuntimeError):
-    """A step produced NaN or Inf values."""
+    """A step produced NaN or Inf values, or an initial field's energy overflows."""
 
 
 class MassDriftError(RuntimeError):

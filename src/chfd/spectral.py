@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, inner_l2, norm_linf
+from .grid import Field, GridSpec, _check_same_grid, inner_l2, norm_linf
 
 __all__ = [
     "SpectralPlan",
@@ -79,11 +79,6 @@ def _inner(plan: SpectralPlan, a: np.ndarray, b: np.ndarray) -> float:
     if g.m % 2 == 0:
         s -= np.vdot(a[:, -1], b[:, -1]).real
     return float(g.h**2 / g.m**2 * s)
-
-
-def _check_same_grid(plan: SpectralPlan, f: Field) -> None:
-    if f.grid != plan.grid:
-        raise ValueError(f"field grid {f.grid} does not match plan grid {plan.grid}")
 
 
 def laplace_long_spectral(plan: SpectralPlan, f: Field) -> Field:

@@ -480,7 +480,7 @@ def test_run_rejects_mismatched_snapshot(tmp_path):
         run_simulation(parse_config(data), write_outputs=False)
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     # 2: config trouble
     bad = tmp_path / "bad.yaml"
     bad.write_text("grid: {m: 16}\n")  # schedule missing
@@ -489,14 +489,19 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("")
     assert main(["verify", "all", "--out", str(taken)]) == 2
-    # 3: a residual that is not finite (phi^3 overflows)
+    # 3: an initial energy that overflows, caught before row 0 and before any step
     overflow = tmp_path / "overflow.yaml"
     overflow.write_text(yaml.safe_dump(base_config(
         initial={"kind": "random", "seed": 1, "amplitude": 1.0e120},
         output={"dir": str(tmp_path / "o")},
     )))
-    with np.errstate(all="ignore"):
-        assert main(["run", str(overflow)]) == 3
+    capsys.readouterr()
+    assert main(["run", str(overflow)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("solver failure: initial energy not finite at t=0")
+    assert (tmp_path / "o" / "energy.csv").read_text().splitlines() == [
+        "step,t,mass,E,E_mod,psd_iters,residual"
+    ]
     # 3: solver failure (impossible tolerance, one-iteration budget)
     monkeypatch.setattr(chfd.psd, "MAX_ITER", 1)
     monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-16)

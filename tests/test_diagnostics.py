@@ -6,6 +6,7 @@ import pytest
 from chfd import (
     EnergyRecord,
     Field,
+    GridMismatchError,
     GridSpec,
     energy,
     field_from_fn,
@@ -78,6 +79,19 @@ def test_modified_energy_requires_matching_means(grid32):
     b = full(grid32, 0.1)
     with pytest.raises(ValueError):
         modified_energy(a, b, 0.01, plan, E=0.0)
+
+
+def test_energies_reject_fields_on_another_grid(grid32):
+    """Same m, another L: the shapes agree and only the grids tell them apart."""
+    plan = make_plan(grid32)
+    phi = random_field(grid32, seed=64, scale=0.3)
+    wide = Field(GridSpec(L=2.0 * grid32.L, m=grid32.m), phi.values)
+    with pytest.raises(GridMismatchError):
+        energy(wide, 0.1, plan)
+    with pytest.raises(GridMismatchError):
+        modified_energy(wide, wide, 0.01, plan, E=0.0)
+    with pytest.raises(GridMismatchError):
+        modified_energy(phi, wide, 0.01, plan, E=0.0)
 
 
 def test_modified_energy_of_stationary_pair_is_plain_energy(grid32):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from chfd import (
     Field,
+    GridMismatchError,
     GridSpec,
     field_from_fn,
     hminus1_norm,
@@ -63,6 +64,16 @@ def test_invert_is_inverse_up_to_mean(grid32):
     back = invert_laplace_long(plan, g)
     expected = f.values - np.mean(f.values)
     assert np.allclose(back.values, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
+
+
+def test_spectral_operators_reject_a_plan_for_another_grid(grid32):
+    """Same m, another L: the shapes agree and only the grids tell them apart."""
+    wide = make_plan(GridSpec(L=2.0 * grid32.L, m=grid32.m))
+    f = mean_free(random_field(grid32, seed=10))
+    with pytest.raises(GridMismatchError):
+        laplace_long_spectral(wide, f)
+    with pytest.raises(GridMismatchError):
+        invert_laplace_long(wide, f)
 
 
 def test_invert_requires_mean_free_input(grid32):
