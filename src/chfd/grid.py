@@ -74,8 +74,13 @@ class Field:
 
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
-        """``np.fft.rfft2(values)``, computed once: nothing writes into a field once it is made."""
-        return np.fft.rfft2(self.values)
+        """``np.fft.rfft2(values)`` bit for bit, by :func:`chfd.spectral._rfft2`.
+
+        Computed once: nothing writes into a field once it is made.
+        """
+        from .spectral import _rfft2  # chfd.spectral imports this module
+
+        return _rfft2(self.values)
 
 
 def _check_same_grid(f, g) -> None:

@@ -1,4 +1,4 @@
-"""Periodic finite-difference stencils, applied by array shifts.
+"""Periodic finite-difference stencils, applied to slices of a wrapped copy.
 
 Second derivative, three-point:   (f[i-1] - 2 f[i] + f[i+1]) / h^2
 Second derivative, five-point:    (-f[i-2] + 16 f[i-1] - 30 f[i] + 16 f[i+1] - f[i+2]) / (12 h^2)
@@ -10,6 +10,10 @@ applies these operators through their Fourier symbols (:mod:`chfd.spectral`);
 this module is the independent stencil implementation that the spectral path
 is checked against, that ``chfd verify`` measures, and that builds the
 verification forcing :func:`chfd.scheme.manufactured_source_stencil`.
+
+A stencil along one axis reads its neighbours as slices of one copy of the
+array wrapped periodically by its half-width in ghost layers on both ends of
+that axis.
 """
 from __future__ import annotations
 
@@ -36,9 +40,15 @@ def _check(f: Field, half_width: int, axis: int = 0) -> None:
         raise ValueError(f"stencil needs m >= {need}, grid has m={f.grid.m}")
 
 
-def _pair(v: np.ndarray, k: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """(v[i - k], v[i + k]) at position i, with periodic wrap."""
-    return np.roll(v, k, axis=axis), np.roll(v, -k, axis=axis)
+def _shifts(v: np.ndarray, k: int, axis: int) -> list[np.ndarray]:
+    """[v[i - k], ..., v[i + k]] at position i along ``axis``, with periodic wrap.
+
+    The entries are views into one copy of v with k ghost layers on each end.
+    """
+    lead = (slice(None),) * axis
+    wrapped = np.concatenate((v[lead + (slice(-k, None),)], v, v[lead + (slice(k),)]), axis=axis)
+    n = v.shape[axis]
+    return [wrapped[lead + (slice(s, s + n),)] for s in range(2 * k + 1)]
 
 
 # Mirror neighbours are combined before weighting, so the symmetric and
@@ -47,19 +57,17 @@ def _pair(v: np.ndarray, k: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _d1_long(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    m2, p2 = _pair(v, 2, axis)
-    m1, p1 = _pair(v, 1, axis)
+    m2, m1, _, p1, p2 = _shifts(v, 2, axis)
     return ((m2 - p2) - 8.0 * (m1 - p1)) / (12.0 * h)
 
 
 def _d2_long(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    m2, p2 = _pair(v, 2, axis)
-    m1, p1 = _pair(v, 1, axis)
+    m2, m1, _, p1, p2 = _shifts(v, 2, axis)
     return (-(m2 + p2) + 16.0 * (m1 + p1) + -30.0 * v) / (12.0 * h**2)
 
 
 def _d2_std(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    m1, p1 = _pair(v, 1, axis)
+    m1, _, p1 = _shifts(v, 1, axis)
     return ((m1 + p1) + -2.0 * v) / h**2
 
 
@@ -105,7 +113,7 @@ def grad_norm_sq_std(f: Field) -> float:
     """
     total = 0.0  # h^2 * sum((diff / h)^2): the powers of h cancel
     for ax in (0, 1):
-        diff = np.roll(f.values, -1, axis=ax) - f.values
+        diff = _shifts(f.values, 1, ax)[2] - f.values
         total += float(np.sum(diff * diff))
     return total
 

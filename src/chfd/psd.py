@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid import Field, _check_same_grid
-from .spectral import SpectralPlan, _inner
+from .spectral import SpectralPlan, _inner, _irfft2, _rfft2
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheme import SchemeParams, StepState
@@ -151,7 +151,9 @@ class UpdateOperator:
     The residual r = P0(f - N[phi]) is kept as its spectrum P0(f^ - Lin^ -
     dt rfft2(phi^3)).  Lin is affine in phi: :meth:`start` sets f^ - Lin^ and
     :meth:`move` shifts it by -alpha S d^, so an iteration takes two transforms,
-    rfft2 of phi^3 and the inverse of d for the line search's pointwise sums.
+    rfft2 of phi^3 and the inverse of d for the line search's pointwise sums,
+    each as two one-dimensional passes into the operator's buffers
+    (:func:`chfd.spectral._rfft2`, :func:`chfd.spectral._irfft2`).
     The preconditioner is the Hessian symbol sigma = S + 3 dt mean(phi_k^2).
     S, 1/Lambda and 1/sigma vanish at the zero mode, which keeps every iterate
     on the mass hyperplane.  One operator serves one solve: it keeps the last z
@@ -181,7 +183,7 @@ class UpdateOperator:
 
         phi^ and H^ use the idle d^ and z^ buffers: fresh ones raise a 512^2 run's peak memory.
         """
-        phi_hat = np.fft.rfft2(phi, out=self._d_hat)
+        phi_hat = _rfft2(phi, out=self._d_hat)
         hist_hat = np.multiply(self.state.phi_prev.spectrum, -0.25, out=self._z_hat)
         hist_hat += self.state.phi_curr.spectrum
         hist_hat *= 2.0  # H^ = 2 (phi_k^ - phi_km1^ / 4) = 2 phi_k^ - phi_km1^ / 2
@@ -196,7 +198,7 @@ class UpdateOperator:
         cube = np.multiply(phi, phi, out=self._work)
         cube *= phi
         cube *= self.dt
-        r_hat = np.fft.rfft2(cube, out=self._r_hat)
+        r_hat = _rfft2(cube, out=self._r_hat)
         np.subtract(self._lin_hat, r_hat, out=r_hat)
         r_hat[0, 0] = 0.0
         return r_hat
@@ -218,12 +220,10 @@ class UpdateOperator:
             beta, rd = 0.0, rz  # restart: c0 = -(r, d) would not be negative
         d_hat *= beta
         d_hat += z_hat
-        # r^ is spent: its buffer holds S d^, then the column pass of irfft2,
-        # done in two passes because np.fft.irfft2 ignores its out= argument
+        # r^ is spent: its buffer holds S d^, then the first pass of the inverse
         sd_hat = np.multiply(d_hat, self.S, out=self._r_hat)
         self._rz, self._rd, self._dsd = rz, rd, _inner(plan, d_hat, sd_hat)
-        np.fft.ifft(d_hat, axis=0, out=self._r_hat)
-        return np.fft.irfft(self._r_hat, n=plan.grid.m, axis=1, out=self._d)
+        return _irfft2(d_hat, plan.grid.m, out=self._d, work=self._r_hat)
 
     def cubic(self, phi: np.ndarray) -> LineSearchCubic:
         """q(alpha) = (N[phi + alpha d] - f, d) along the last direction d from phi."""
@@ -259,8 +259,9 @@ def solve(
     from the extrapolation 2 phi_k - phi_km1 and stops when
     |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + TOL_REL |P0 f|_2, within
     MAX_ITER iterations.  Raises :class:`SolverError` (carrying the residual
-    history) on non-convergence or at a residual that is not finite.  The state
-    must be on the plan's grid; f^ carries no grid and is checked by shape only.
+    history) on non-convergence, at a residual that is not finite, or at one
+    whose norm overflows (recorded as inf).  The state must be on the plan's
+    grid; f^ carries no grid and is checked by shape only.
     """
     _check_same_grid(plan, state.phi_curr)
     if rhs.shape != plan.Lambda_long.shape:
@@ -290,8 +291,14 @@ def solve(
         objectives.append(objectives[-1] + cubic.integral(alpha))
         op.move(phi, alpha)
 
-    failure = (f"residual not finite at iteration {it}" if not math.isfinite(rnorm)
-               else f"no convergence in {MAX_ITER} iterations")
+    if math.isfinite(rnorm):
+        failure = f"no convergence in {MAX_ITER} iterations"
+    elif np.isfinite(r_hat).all():
+        # the squared sum overflows, and the Parseval weights turn inf into nan
+        residuals[-1] = math.inf
+        failure = f"residual norm overflows at iteration {it} (the residual is finite)"
+    else:
+        failure = f"residual not finite at iteration {it}"
     tail = ", ".join(f"{v:.3e}" for v in residuals[-4:])
     raise SolverError(
         f"step {state.step_index + 1} (t={state.t:.6g}, dt={params.dt:.6g}): "

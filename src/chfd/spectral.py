@@ -14,9 +14,11 @@ Laplacian (sum over axes), which are nonnegative and vanish only at the zero
 mode; that makes the Laplacian invertible on mean-zero data and provides the
 discrete H^{-1} inner product used by the time stepping.
 
-Transforms use the numpy real-to-complex path (``rfft2``, normalization
-1/m^2 on the inverse).  ``Lambda_long`` and friends are stored in the rfft
-layout: the last axis holds modes 0..m//2 only.
+Transforms use the numpy real-to-complex path, normalization 1/m^2 on the
+inverse, called as the two one-dimensional passes that ``np.fft.rfft2`` and
+``np.fft.irfft2`` make (:func:`_rfft2`, :func:`_irfft2`): the same bits
+without the n-dimensional wrapper's per-call cost.  ``Lambda_long`` and
+friends are stored in the rfft layout: the last axis holds modes 0..m//2 only.
 """
 from __future__ import annotations
 
@@ -62,9 +64,23 @@ def make_plan(grid: GridSpec) -> SpectralPlan:
     return SpectralPlan(grid, lam_long, Lam, inv)
 
 
-def _irfft(plan: SpectralPlan, spec: np.ndarray) -> np.ndarray:
-    """Inverse of ``np.fft.rfft2`` on the plan's grid (odd m needs the shape)."""
-    return np.fft.irfft2(spec, s=plan.grid.shape)
+def _rfft2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.fft.rfft2(values)``, bit for bit: rfft over axis 1, then fft over axis 0 in place."""
+    spec = np.fft.rfft(values, axis=1, out=out)
+    return np.fft.fft(spec, axis=0, out=spec)
+
+
+def _irfft2(
+    spec: np.ndarray, m: int, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """``np.fft.irfft2(spec, s=(m, m))``, bit for bit: ifft over axis 0, then irfft over axis 1.
+
+    ``work`` (complex, the shape of ``spec``) receives the first pass, and may
+    be ``spec`` itself once the caller is done with it.  An odd m needs its
+    size stated: rfft layouts of m and m + 1 have the same shape.
+    """
+    cols = np.fft.ifft(spec, axis=0, out=work)
+    return np.fft.irfft(cols, n=m, axis=1, out=out)
 
 
 def _inner(plan: SpectralPlan, a: np.ndarray, b: np.ndarray) -> float:
@@ -84,9 +100,9 @@ def _inner(plan: SpectralPlan, a: np.ndarray, b: np.ndarray) -> float:
 def laplace_long_spectral(plan: SpectralPlan, f: Field) -> Field:
     """Transform-space application of the long-stencil Laplacian."""
     _check_same_grid(plan, f)
-    spec = np.fft.rfft2(f.values)
+    spec = _rfft2(f.values)
     spec *= -plan.Lambda_long
-    return Field(plan.grid, _irfft(plan, spec))
+    return Field(plan.grid, _irfft2(spec, plan.grid.m, work=spec))
 
 
 def invert_laplace_long(plan: SpectralPlan, g: Field) -> Field:
@@ -100,9 +116,9 @@ def invert_laplace_long(plan: SpectralPlan, g: Field) -> Field:
     tol_mean = 1e-12 * (1.0 + norm_linf(g))
     if abs(gbar) > tol_mean:
         raise ValueError(f"mean(g) = {gbar:.3e} exceeds solvability tolerance {tol_mean:.3e}")
-    spec = np.fft.rfft2(g.values)
+    spec = _rfft2(g.values)
     spec *= plan.inv_Lambda  # zero mode annihilated by inv_Lambda
-    return Field(plan.grid, _irfft(plan, spec))
+    return Field(plan.grid, _irfft2(spec, plan.grid.m, work=spec))
 
 
 def hminus1_norm(plan: SpectralPlan, f: Field) -> float:

@@ -502,6 +502,17 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "o" / "energy.csv").read_text().splitlines() == [
         "step,t,mass,E,E_mod,psd_iters,residual"
     ]
+    # 3: a finite initial state whose residual norm overflows at the first iteration
+    huge = tmp_path / "huge.yaml"
+    huge.write_text(yaml.safe_dump(base_config(
+        initial={"kind": "random", "seed": 1, "amplitude": 1.0e60},
+        output={"dir": str(tmp_path / "u")},
+    )))
+    assert main(["run", str(huge)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("solver failure: step 1 "), err
+    assert "residual norm overflows at iteration 0" in err[0]
+    assert "last residuals [inf]" in err[0]
     # 3: solver failure (impossible tolerance, one-iteration budget)
     monkeypatch.setattr(chfd.psd, "MAX_ITER", 1)
     monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-16)

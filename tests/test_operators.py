@@ -39,6 +39,36 @@ def test_stencils_match_brute_oracle_2d(grid32, axis):
                        rtol=1e-13, atol=1e-12)
 
 
+def rolled(v, k, axis):
+    """(v[i - k], v[i + k]) at position i, by np.roll."""
+    return np.roll(v, k, axis=axis), np.roll(v, -k, axis=axis)
+
+
+@pytest.mark.parametrize("m", [5, 16, 17])
+def test_stencils_equal_the_roll_form_bit_for_bit(m):
+    """Each stencil's expression, evaluated on np.roll shifts, gives the same bits."""
+    grid = GridSpec(L=2.7, m=m)
+    f = random_field(grid, seed=m)
+    v, h = f.values, grid.h
+    lap_long, lap_std, grad_std, curvature = None, None, 0.0, []
+    for axis in (0, 1):
+        (m2, p2), (m1, p1) = rolled(v, 2, axis), rolled(v, 1, axis)
+        d2l = (-(m2 + p2) + 16.0 * (m1 + p1) + -30.0 * v) / (12.0 * h**2)
+        d2s = ((m1 + p1) + -2.0 * v) / h**2
+        assert np.array_equal(d1_long(f, axis).values, ((m2 - p2) - 8.0 * (m1 - p1)) / (12.0 * h))
+        assert np.array_equal(d2_long(f, axis).values, d2l)
+        assert np.array_equal(d2_std(f, axis).values, d2s)
+        lap_long = d2l if lap_long is None else lap_long + d2l
+        lap_std = d2s if lap_std is None else lap_std + d2s
+        diff = p1 - v
+        grad_std += float(np.sum(diff * diff))
+        curvature.append(float((h**2 / 12.0) * h**2 * np.sum(d2s * d2s)))
+    assert np.array_equal(laplace_long(f).values, lap_long)
+    assert np.array_equal(laplace_std(f).values, lap_std)
+    assert grad_norm_sq_std(f) == grad_std
+    assert grad_norm_sq_long(f) == (grad_std + curvature[0]) + curvature[1]
+
+
 def test_laplacians_match_brute_oracle(grid32):
     f = random_field(grid32, seed=12)
     assert np.allclose(laplace_long(f).values, brute_laplace_long(f.values, grid32.h),

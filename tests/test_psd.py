@@ -153,13 +153,15 @@ def test_solve_matches_paper_method_in_fewer_iterations(problem):
 
 def test_an_iteration_takes_one_transform_each_way(problem, fft_calls):
     """start transforms only the guess (f and the history come as spectra); then
-    each residual is one rfft2 and each direction one inverse transform (ifft
-    over axis 0, irfft over 1)."""
+    each residual is one forward transform (rfft over axis 1, fft over 0) and
+    each direction one inverse transform (ifft over axis 0, irfft over 1)."""
     grid, plan, params, state, rhs = problem
     _, stats = solve(state, params, rhs, plan)
     n = stats.iterations
     assert n > 3
-    assert {k: v for k, v in fft_calls.items() if v} == {"rfft2": 1 + n + 1, "ifft": n, "irfft": n}
+    forward = 1 + n + 1
+    assert {k: v for k, v in fft_calls.items() if v} == {
+        "rfft": forward, "fft": forward, "ifft": n, "irfft": n}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from chfd import (
 )
 from chfd.psd import UpdateOperator
 from chfd.scheme import SchemeParams, restart_flat
-from chfd.spectral import _inner
+from chfd.spectral import _inner, _irfft2, _rfft2
 
 from conftest import random_field
 
@@ -117,6 +117,28 @@ def test_spectral_inner_product_matches_grid_sum(m):
     u, v = random_field(grid, seed=21), random_field(grid, seed=22)
     got = _inner(plan, np.fft.rfft2(u.values), np.fft.rfft2(v.values))
     assert got == pytest.approx(inner_l2(u, v), rel=0, abs=1e-13 * norm_l2(u) * norm_l2(v))
+
+
+@pytest.mark.parametrize("m", [5, 16, 17, 32])
+def test_one_dimensional_passes_equal_the_2d_transforms_bit_for_bit(m):
+    """_rfft2 and _irfft2 make the passes of np.fft.rfft2 and irfft2, in their order."""
+    grid = GridSpec(L=2.0, m=m)
+    values = random_field(grid, seed=m).values
+    want = np.fft.rfft2(values)
+    out = np.empty_like(want)
+    assert np.array_equal(_rfft2(values), want)
+    assert _rfft2(values, out=out) is out and np.array_equal(out, want)
+
+    # not the spectrum of a real field: its zero and Nyquist columns lose their symmetry
+    spec = want * np.random.default_rng(m).uniform(0.5, 1.5, want.shape)
+    back = np.fft.irfft2(spec, s=grid.shape)
+    kept = spec.copy()
+    assert np.array_equal(_irfft2(spec, m), back)
+    real_out, work = np.empty(grid.shape), np.empty_like(spec)
+    assert _irfft2(spec, m, out=real_out, work=work) is real_out
+    assert np.array_equal(real_out, back)
+    assert np.array_equal(spec, kept)  # the first pass went to work
+    assert np.array_equal(_irfft2(spec, m, work=spec), back)  # in place, when spec is spent
 
 
 def test_hminus1_is_a_norm(grid32):
