@@ -61,10 +61,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("shape", nargs="?", choices=("converge", "steps"), default="converge")
     ap.add_argument("--m", type=int, default=128, help="grid size for 'steps' (default 128)")
     ap.add_argument("--steps", type=int, default=20, help="steps for 'steps' (default 20)")
-    ap.add_argument("--top", type=int, default=25, help="rows to print (default 25)")
     args = ap.parse_args(argv)
-    if args.m < 5 or args.steps < 1 or args.top < 1:
-        ap.error("need --m >= 5, --steps >= 1 and --top >= 1")
+    if args.m < 5 or args.steps < 1:
+        ap.error("need --m >= 5 and --steps >= 1")
 
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
@@ -73,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         what = profile_steps(profiler, args.m, args.steps)
     print(f"{what}, {time.perf_counter() - t0:.2f} s under the profiler")
-    pstats.Stats(profiler, stream=sys.stdout).sort_stats("tottime").print_stats(args.top)
+    pstats.Stats(profiler, stream=sys.stdout).sort_stats("tottime").print_stats(25)
     return 0
 
 

@@ -58,6 +58,25 @@ class GridSpec:
         return (np.arange(self.m) + 0.5) * self.h
 
 
+def _rfft2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.fft.rfft2(values)``, bit for bit: rfft over axis 1, then fft over axis 0 in place."""
+    spec = np.fft.rfft(values, axis=1, out=out)
+    return np.fft.fft(spec, axis=0, out=spec)
+
+
+def _irfft2(
+    spec: np.ndarray, m: int, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """``np.fft.irfft2(spec, s=(m, m))``, bit for bit: ifft over axis 0, then irfft over axis 1.
+
+    ``work`` (complex, the shape of ``spec``) receives the first pass, and may
+    be ``spec`` itself once the caller is done with it.  An odd m needs its
+    size stated: rfft layouts of m and m + 1 have the same shape.
+    """
+    cols = np.fft.ifft(spec, axis=0, out=work)
+    return np.fft.irfft(cols, n=m, axis=1, out=out)
+
+
 @dataclass
 class Field:
     """Grid function: ``values[i, j]`` is the value at ``(x_i, y_j)``."""
@@ -74,12 +93,10 @@ class Field:
 
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
-        """``np.fft.rfft2(values)`` bit for bit, by :func:`chfd.spectral._rfft2`.
+        """``np.fft.rfft2(values)`` bit for bit, by :func:`_rfft2`.
 
         Computed once: nothing writes into a field once it is made.
         """
-        from .spectral import _rfft2  # chfd.spectral imports this module
-
         return _rfft2(self.values)
 
 

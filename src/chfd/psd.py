@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import Field, _check_same_grid
-from .spectral import SpectralPlan, _inner, _irfft2, _rfft2
+from .grid import Field, _check_same_grid, _irfft2, _rfft2
+from .spectral import SpectralPlan, _inner
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheme import SchemeParams, StepState
@@ -153,7 +153,7 @@ class UpdateOperator:
     :meth:`move` shifts it by -alpha S d^, so an iteration takes two transforms,
     rfft2 of phi^3 and the inverse of d for the line search's pointwise sums,
     each as two one-dimensional passes into the operator's buffers
-    (:func:`chfd.spectral._rfft2`, :func:`chfd.spectral._irfft2`).
+    (:func:`chfd.grid._rfft2`, :func:`chfd.grid._irfft2`).
     The preconditioner is the Hessian symbol sigma = S + 3 dt mean(phi_k^2).
     S, 1/Lambda and 1/sigma vanish at the zero mode, which keeps every iterate
     on the mass hyperplane.  One operator serves one solve: it keeps the last z
@@ -260,7 +260,7 @@ def solve(
     |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + TOL_REL |P0 f|_2, within
     MAX_ITER iterations.  Raises :class:`SolverError` (carrying the residual
     history) on non-convergence, at a residual that is not finite, or at one
-    whose norm overflows (recorded as inf).  The state must be on the plan's
+    whose norm overflows.  The state must be on the plan's
     grid; f^ carries no grid and is checked by shape only.
     """
     _check_same_grid(plan, state.phi_curr)
@@ -294,8 +294,6 @@ def solve(
     if math.isfinite(rnorm):
         failure = f"no convergence in {MAX_ITER} iterations"
     elif np.isfinite(r_hat).all():
-        # the squared sum overflows, and the Parseval weights turn inf into nan
-        residuals[-1] = math.inf
         failure = f"residual norm overflows at iteration {it} (the residual is finite)"
     else:
         failure = f"residual not finite at iteration {it}"

@@ -16,7 +16,7 @@ discrete H^{-1} inner product used by the time stepping.
 
 Transforms use the numpy real-to-complex path, normalization 1/m^2 on the
 inverse, called as the two one-dimensional passes that ``np.fft.rfft2`` and
-``np.fft.irfft2`` make (:func:`_rfft2`, :func:`_irfft2`): the same bits
+``np.fft.irfft2`` make (:func:`chfd.grid._rfft2`, :func:`chfd.grid._irfft2`): the same bits
 without the n-dimensional wrapper's per-call cost.  ``Lambda_long`` and
 friends are stored in the rfft layout: the last axis holds modes 0..m//2 only.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, _check_same_grid, inner_l2, norm_linf
+from .grid import Field, GridSpec, _check_same_grid, _irfft2, _rfft2, inner_l2, norm_linf
 
 __all__ = [
     "SpectralPlan",
@@ -62,25 +62,6 @@ def make_plan(grid: GridSpec) -> SpectralPlan:
     inv = np.zeros_like(Lam)
     np.divide(1.0, Lam, out=inv, where=Lam > 0)
     return SpectralPlan(grid, lam_long, Lam, inv)
-
-
-def _rfft2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.fft.rfft2(values)``, bit for bit: rfft over axis 1, then fft over axis 0 in place."""
-    spec = np.fft.rfft(values, axis=1, out=out)
-    return np.fft.fft(spec, axis=0, out=spec)
-
-
-def _irfft2(
-    spec: np.ndarray, m: int, out: np.ndarray | None = None, work: np.ndarray | None = None
-) -> np.ndarray:
-    """``np.fft.irfft2(spec, s=(m, m))``, bit for bit: ifft over axis 0, then irfft over axis 1.
-
-    ``work`` (complex, the shape of ``spec``) receives the first pass, and may
-    be ``spec`` itself once the caller is done with it.  An odd m needs its
-    size stated: rfft layouts of m and m + 1 have the same shape.
-    """
-    cols = np.fft.ifft(spec, axis=0, out=work)
-    return np.fft.irfft(cols, n=m, axis=1, out=out)
 
 
 def _inner(plan: SpectralPlan, a: np.ndarray, b: np.ndarray) -> float:

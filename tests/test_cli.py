@@ -512,7 +512,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("solver failure: step 1 "), err
     assert "residual norm overflows at iteration 0" in err[0]
-    assert "last residuals [inf]" in err[0]
+    assert "last residuals [nan]" in err[0]
     # 3: solver failure (impossible tolerance, one-iteration budget)
     monkeypatch.setattr(chfd.psd, "MAX_ITER", 1)
     monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-16)

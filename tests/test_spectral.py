@@ -18,7 +18,8 @@ from chfd import (
 )
 from chfd.psd import UpdateOperator
 from chfd.scheme import SchemeParams, restart_flat
-from chfd.spectral import _inner, _irfft2, _rfft2
+from chfd.grid import _irfft2, _rfft2
+from chfd.spectral import _inner
 
 from conftest import random_field
 
