@@ -39,14 +39,16 @@ from .scheme import (
     StepState,
     assemble_rhs,
     ghost_init,
-    manufactured_solution,
-    manufactured_source,
-    manufactured_source_stencil,
     restart_flat,
     step,
 )
 from .psd import SolverError, SolveStats, UpdateOperator, solve
 from .diagnostics import EnergyRecord, energy, fit_power_law, modified_energy
+from .verification import (
+    manufactured_solution,
+    manufactured_source,
+    manufactured_source_stencil,
+)
 
 __all__ = [
     "__version__",

@@ -209,10 +209,15 @@ def _finite(val) -> bool:
         return False
 
 
-def _number(sec: dict, section: str, key: str, default=None):
+def _number(sec: dict, section: str, key: str, default=None, sign: str = "") -> float:
+    """The finite number at ``section.key`` as a float; ``sign`` is "", "positive"
+    or "nonnegative"."""
     val = sec.get(key, default)
     if not _finite(val):
         raise ConfigError(f"'{section}.{key}' must be a finite number, got {val!r}")
+    val = float(val)
+    if (sign == "positive" and val <= 0) or (sign == "nonnegative" and val < 0):
+        raise ConfigError(f"'{section}.{key}' must be {sign}, got {val!r}")
     return val
 
 
@@ -233,9 +238,7 @@ def parse_config(data: dict) -> RunConfig:
     data = dict(data)
 
     domain = _section(data, "domain", {"L"})
-    L = float(_number(domain, "domain", "L", 12.8))
-    if L <= 0:
-        raise ConfigError(f"'domain.L' must be positive, got {L!r}")
+    L = _number(domain, "domain", "L", 12.8, sign="positive")
 
     grid_sec = _section(data, "grid", {"m"}, required={"m"})
     m = _integer(grid_sec, "grid", "m", minimum=5)
@@ -243,12 +246,8 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"'grid.m' must be at most {2**15}, got {m!r}")
 
     physics = _section(data, "physics", {"eps", "A"})
-    eps = float(_number(physics, "physics", "eps", 0.05))
-    if eps <= 0:
-        raise ConfigError(f"'physics.eps' must be positive, got {eps!r}")
-    A = float(_number(physics, "physics", "A", 1.0 / 16.0))
-    if A < 0:
-        raise ConfigError(f"'physics.A' must be nonnegative, got {A!r}")
+    eps = _number(physics, "physics", "eps", 0.05, sign="positive")
+    A = _number(physics, "physics", "A", 1.0 / 16.0, sign="nonnegative")
 
     raw_schedule = data.pop("schedule", None)
     if not isinstance(raw_schedule, list) or not raw_schedule:
@@ -257,10 +256,8 @@ def parse_config(data: dict) -> RunConfig:
     for i, entry in enumerate(raw_schedule):
         if not isinstance(entry, dict) or set(entry) != {"dt", "t_end"}:
             raise ConfigError(f"schedule[{i}] must have exactly the keys dt and t_end")
-        dt = float(_number(entry, f"schedule[{i}]", "dt"))
-        t_end = float(_number(entry, f"schedule[{i}]", "t_end"))
-        if dt <= 0:
-            raise ConfigError(f"schedule[{i}].dt must be positive")
+        dt = _number(entry, f"schedule[{i}]", "dt", sign="positive")
+        t_end = _number(entry, f"schedule[{i}]", "t_end")
         segments.append(SegmentConfig(dt=dt, t_end=t_end))
     for a, b in zip(segments, segments[1:]):
         if b.t_end <= a.t_end:
@@ -275,16 +272,14 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(
             f"initial.kind {kind} does not use the key(s) {', '.join(sorted(stray))}"
         )
-    amplitude = float(_number(init_sec, "initial", "amplitude", 0.1))
-    if amplitude < 0:
-        raise ConfigError("'initial.amplitude' must be nonnegative")
+    amplitude = _number(init_sec, "initial", "amplitude", 0.1, sign="nonnegative")
     seed = _integer(init_sec, "initial", "seed", 0)
     path = init_sec.get("path")
     if kind == "file" and not isinstance(path, str):
         raise ConfigError("'initial.path' is required when initial.kind is file")
     initial = InitialConfig(
         kind=kind,
-        mean=float(_number(init_sec, "initial", "mean", 0.0)),
+        mean=_number(init_sec, "initial", "mean", 0.0),
         amplitude=amplitude,
         seed=seed,
         path=path,

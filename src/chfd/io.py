@@ -12,12 +12,14 @@ identical file.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from typing import IO
 
 import numpy as np
 
+from .diagnostics import EnergyRecord
 from .grid import Field, GridSpec
 
 __all__ = [
@@ -116,7 +118,8 @@ def _write_pgm(field: Field, path: str | os.PathLike) -> None:
         fh.write(img.tobytes())
 
 
-ENERGY_CSV_HEADER = "step,t,mass,E,E_mod,psd_iters,residual"
+_ENERGY_FIELDS = tuple(f.name for f in dataclasses.fields(EnergyRecord))
+ENERGY_CSV_HEADER = ",".join(_ENERGY_FIELDS)
 
 
 class EnergyCsvWriter:
@@ -131,13 +134,9 @@ class EnergyCsvWriter:
         self._fh.write(ENERGY_CSV_HEADER + "\n")
         self._fh.flush()
 
-    def write(self, record) -> None:
-        row = (
-            f"{record.step},{fmt17(record.t)},{fmt17(record.mass)},"
-            f"{fmt17(record.E)},{fmt17(record.E_mod)},"
-            f"{record.psd_iters},{fmt17(record.residual)}"
-        )
-        self._fh.write(row + "\n")
+    def write(self, record: EnergyRecord) -> None:
+        """One row: every field with ``fmt17``, which prints an integer as is."""
+        self._fh.write(",".join(fmt17(getattr(record, f)) for f in _ENERGY_FIELDS) + "\n")
         self._fh.flush()
 
     def close(self) -> None:

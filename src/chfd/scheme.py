@@ -29,9 +29,9 @@ right-hand side is kept as its spectrum
     f^ = A dt^2 Lambda phi_k^ + 2 dt phi_k^ - dt phi_km1^ + dt S^ / Lambda,
 
 built from the history fields' cached spectra (``Field.spectrum``), with
-1/Lambda set to 0 at the zero mode.  The stencil operators of
-:mod:`chfd.operators` build only the verification forcing
-:func:`manufactured_source_stencil`.
+1/Lambda set to 0 at the zero mode.  A forcing S is a callback the caller
+supplies (``Source``); the forced reference problem and its forcings live in
+:mod:`chfd.verification`.
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ import numpy as np
 from . import psd as _psd
 from .diagnostics import EnergyRecord, energy, modified_energy
 from .grid import Field, GridSpec, _check_same_grid, field_from_fn, mean
-from .operators import laplace_long
 from .spectral import SpectralPlan, laplace_long_spectral, make_plan
 
 __all__ = [
@@ -54,9 +53,6 @@ __all__ = [
     "StepDiagnostics",
     "NonFiniteStateError",
     "MassDriftError",
-    "manufactured_solution",
-    "manufactured_source",
-    "manufactured_source_stencil",
     "sample_source",
     "ghost_init",
     "restart_flat",
@@ -118,69 +114,6 @@ Source = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 class StepDiagnostics:
     record: EnergyRecord
     solve: _psd.SolveStats
-
-
-def manufactured_solution(L: float) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
-    """Closed-form reference field (1/2pi) sin(ax) cos(ay) cos(t), a = 2 pi / L."""
-    a = 2.0 * np.pi / L
-    amp = 1.0 / (2.0 * np.pi)
-
-    def phi_e(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-        return amp * np.sin(a * x) * np.cos(a * y) * np.cos(t)
-
-    return phi_e
-
-
-def manufactured_source(eps: float, L: float) -> Source:
-    """Forcing that makes ``manufactured_solution`` solve the forced equation.
-
-    S = phi_t - lap(phi^3) + lap(phi) + eps^2 lap^2(phi), in closed form via
-    lap(u^3) = 3 u^2 lap(u) + 6 u |grad u|^2 and lap(phi) = -2 a^2 phi.
-    """
-    a = 2.0 * np.pi / L
-    amp = 1.0 / (2.0 * np.pi)
-
-    def S(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-        sx, cx = np.sin(a * x), np.cos(a * x)
-        sy, cy = np.sin(a * y), np.cos(a * y)
-        ct, st = np.cos(t), np.sin(t)
-        phi = amp * sx * cy * ct
-        grad_sq = (a * amp) ** 2 * ct**2 * (cx**2 * cy**2 + sx**2 * sy**2)
-        lap_phi = -2.0 * a**2 * phi
-        lap_phi3 = 3.0 * phi**2 * lap_phi + 6.0 * phi * grad_sq
-        dphi_dt = -amp * sx * cy * st
-        return dphi_dt - lap_phi3 + lap_phi + eps**2 * (4.0 * a**4 * phi)
-
-    return S
-
-
-def manufactured_source_stencil(eps: float, grid: GridSpec) -> Source:
-    """Forcing built with the long-stencil Laplacian instead of the continuous one.
-
-    S_h(t) = dphi_ref/dt - lap4[phi_ref^3 - phi_ref - eps^2 lap4 phi_ref],
-    evaluated on ``grid``, where phi_ref is ``manufactured_solution(grid.L)``.
-    With this forcing the sampled reference field solves the space-discretized
-    equation exactly, so a refinement study driven by it isolates the time
-    stepper.  That matters here: the reference state sits inside the
-    anti-diffusive band of the linearization (modes with k^2 < 1/eps^2 grow
-    like e^{(k^2 - eps^2 k^4) t}), and with the continuous closed-form source
-    the h^4 stencil defect on the cubic term's third harmonics is amplified by
-    roughly e^{T/(4 eps^2)}, burying the scheme's own accuracy.
-
-    The returned source is bound to ``grid``; sampling it on another grid fails.
-    """
-    a = 2.0 * np.pi / grid.L
-    amp = 1.0 / (2.0 * np.pi)
-    xc = grid.cell_centers()
-    envelope = amp * np.sin(a * xc)[:, None] * np.cos(a * xc)[None, :]
-
-    def S(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-        u = Field(grid, envelope * np.cos(t))
-        uv = u.values
-        mu = uv * uv * uv - uv - eps**2 * laplace_long(u).values
-        return -np.sin(t) * envelope - laplace_long(Field(grid, mu)).values
-
-    return S
 
 
 def sample_source(source: Source, grid: GridSpec, t: float) -> Field:

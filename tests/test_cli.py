@@ -1,5 +1,6 @@
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -133,6 +134,13 @@ def test_read_snapshot_rejects_garbage(tmp_path):
     p.write_bytes(b"CHF1 4 4 1.0 0.0" + b" " * 241 + b"\n" + b"\x00" * 128)
     with pytest.raises(SnapshotFormatError, match="too long"):
         read_snapshot(p)
+    # header fields that do not parse, and a grid that is not square
+    for header, match in [("CHF1 4 x 1.0 0.0", "bad header fields"),
+                          ("CHF1 4 4 one 0.0", "bad header fields"),
+                          ("CHF1 4 8 1.0 0.0", "non-square snapshot 4x8")]:
+        p.write_bytes(header.encode() + b"\n" + b"\x00" * 256)
+        with pytest.raises(SnapshotFormatError, match=match):
+            read_snapshot(p)
     # header values no run can start from, caught before the payload is read
     for header in ["CHF1 1 1 1.0 0.0", "CHF1 4 4 nan 0.0", "CHF1 4 4 0.0 0.0",
                    "CHF1 4 4 1.0 nan", "CHF1 4 4 1.0 inf", "CHF1 4 4 1.0 -inf"]:
@@ -486,6 +494,13 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     bad.write_text("grid: {m: 16}\n")  # schedule missing
     assert main(["run", str(bad)]) == 2
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
+    for text, named in [("grid: [m: 16\n", "cannot parse config"),
+                        ("- grid\n- schedule\n", "top-level config must be a mapping")]:
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err, err
     taken = tmp_path / "taken"
     taken.write_text("")
     assert main(["verify", "all", "--out", str(taken)]) == 2
@@ -583,6 +598,38 @@ def test_verify_subcommand_writes_reports(tmp_path, capsys):
     for case in TRUNCATION_CASES:
         assert (tmp_path / "v" / f"truncation_{case}.csv").exists()
     assert capsys.readouterr().out.count("[ok]") == len(TRUNCATION_CASES)
+
+
+def test_verify_inequalities_writes_both_grids(tmp_path, capsys):
+    assert main(["verify", "inequalities", "--out", str(tmp_path / "v")]) == 0
+    for m in (32, 64):
+        lines = (tmp_path / "v" / f"inequalities_m{m}.csv").read_text().splitlines()
+        assert len(lines) == 201
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"inequalities m={m}: 0 violation(s) in 200 trials [ok]" for m in (32, 64)]
+
+
+def fake_report(**attrs):
+    return SimpleNamespace(to_csv=lambda: "fake\n", **attrs)
+
+
+@pytest.mark.parametrize("target, study, fake, failure", [
+    ("truncation", "truncation_study",
+     lambda case, **kw: fake_report(
+         finest_rates=lambda n: [(4.0, 4.0), (3.5 if case == "exp_sin" else 4.0, 4.0)]),
+     "FAIL truncation exp_sin: finest rates 4.000, 4.000, 3.500, 4.000"),
+    ("symbols", "symbol_bound_study",
+     lambda **kw: fake_report(rows=[(512, 1.0, 0.0)], max_ratio=lambda: 1.0,
+                              min_defect=lambda: -1e-3),
+     "FAIL symbols: max ratio 1 vs 2x finest 2, min defect -1.000e-03"),
+    ("inequalities", "inequality_study",
+     lambda grid, **kw: fake_report(violations=int(grid.m == 64), n_trials=200),
+     "FAIL inequalities m=64: 1 violation(s) in 200 trials"),
+])
+def test_verify_gate_failures_exit_4(tmp_path, capsys, monkeypatch, target, study, fake, failure):
+    monkeypatch.setattr(chfd.cli, study, fake)
+    assert main(["verify", target, "--out", str(tmp_path / "v")]) == 4
+    assert capsys.readouterr().err.splitlines() == [failure]
 
 
 def two_level_study(monkeypatch):

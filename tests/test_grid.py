@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chfd.grid
 from chfd import (
     Field,
     GridMismatchError,
@@ -115,3 +118,24 @@ def test_inner_product_is_bilinear(seed):
     assert inner_l2(combo, w) == pytest.approx(
         2.0 * inner_l2(f, w) - 3.0 * inner_l2(g, w), rel=1e-11, abs=1e-13
     )
+
+
+_TRANSFORMS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+               "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"}
+
+
+def test_only_the_grid_module_transforms():
+    """Every FFT goes through chfd.grid's transform pair: no other module
+    calls numpy's transforms."""
+    pkg = Path(chfd.grid.__file__).parent
+    calls = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in _TRANSFORMS
+                    and ast.unparse(node.value) in ("np.fft", "numpy.fft")):
+                calls.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+                calls.append(f"{path.name}:{node.lineno} from numpy.fft import ...")
+    assert calls == []

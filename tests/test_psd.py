@@ -190,6 +190,16 @@ def test_cubic_root_positive_c0_side():
     assert abs(q(alpha)) <= 1e-12 * abs(q.c0) + 1e-30
 
 
+def test_cubic_root_falls_back_to_bisection():
+    """A Newton step from alpha = -c0/c1 leaves the bracket on this cubic (a
+    large c3 against a tiny c1), so the root is found by the bisection fallback."""
+    q = LineSearchCubic(c0=-2.163980789389032e-14, c1=1.0059650189960299e-08,
+                        c2=-0.005638080803475959, c3=1099.0159358555973)
+    alpha = q.root()
+    assert 0.0 < alpha <= -4.0 * q.c0 / q.c1
+    assert abs(q(alpha)) <= 1e-12 * abs(q.c0) + 1e-30
+
+
 def test_cubic_requires_positive_slope():
     with pytest.raises(ValueError):
         LineSearchCubic(c0=-1.0, c1=-2.0, c2=0.0, c3=1.0).root()

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,13 @@ from chfd import (
     step,
 )
 from chfd.grid import full
-from chfd.scheme import SchemeParams, StepState, sample_source
+from chfd.scheme import (
+    MassDriftError,
+    NonFiniteStateError,
+    SchemeParams,
+    StepState,
+    sample_source,
+)
 
 from conftest import oracle_F, random_field, rhs_field
 
@@ -328,6 +337,39 @@ def test_stepper_applies_lap4_without_stencil_rolls(grid32, monkeypatch):
     state, diag = step(state, params, plan)
     assert state.step_index == 1
     assert np.isfinite(diag.record.E_mod) and diag.record.E_mod >= diag.record.E
+
+
+def test_no_stepper_module_imports_the_stencils():
+    """The stencils of chfd.operators are an oracle and what the verification
+    studies measure: no module that a run executes imports them."""
+    pkg = Path(chfd.cli.__file__).parent
+    for name in ("grid", "spectral", "psd", "scheme", "diagnostics", "io", "rng"):
+        imported = set()
+        for node in ast.walk(ast.parse((pkg / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["chfd" if node.level else "", node.module]))
+                imported.add(base)
+                imported.update(f"{base}.{alias.name}" for alias in node.names)
+        assert "chfd.operators" not in imported, name
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (lambda v: np.where(v > 0.1, np.nan, v), NonFiniteStateError),
+    (lambda v: v + 1e-6, MassDriftError),
+])
+def test_step_rejects_a_solve_that_breaks_an_invariant(grid32, monkeypatch, corrupt, error):
+    solve = chfd.psd.solve
+
+    def broken(*args, **kwargs):
+        phi, stats = solve(*args, **kwargs)
+        return Field(phi.grid, corrupt(phi.values)), stats
+
+    monkeypatch.setattr(chfd.psd, "solve", broken)
+    state = restart_flat(Field(grid32, 0.2 * random_field(grid32, 53).values))
+    with pytest.raises(error, match="step 1"):
+        step(state, SchemeParams(eps=0.1, dt=0.01), make_plan(grid32))
 
 
 def test_step_reaches_the_solver_through_the_psd_module(grid32, monkeypatch):
