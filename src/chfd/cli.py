@@ -4,7 +4,9 @@ Two subcommands:
 
 * ``chfd run CONFIG.yaml`` — advance random data or a snapshot through its
   time-step schedule, streaming the energy CSV and writing field snapshots;
-  steps are planned once and numbered through the whole run.
+  steps are planned once and numbered through the whole run.  The closing
+  summary gives the PSD iterations per step and the energy-decay exponent
+  fitted over the last decade of time.
 * ``chfd verify {truncation,symbols,inequalities,convergence,all}`` — the
   operator-level studies and the refinement study of the forced reference
   problem, each at fixed inputs, writing CSVs to ``--out`` and gating the
@@ -28,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .diagnostics import EnergyRecord, energy, modified_energy
+from .diagnostics import EnergyRecord, energy, fit_power_law, modified_energy
 from .grid import Field, GridSpec, mean
 from .io import EnergyCsvWriter, read_snapshot, write_snapshot
 from .psd import SolverError, SolveStats
@@ -489,6 +491,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"mass={final.mass:.3e}, {len(result.snapshots)} snapshot(s) in "
         f"{config.output.dir}"
     )
+    iters = [s.iterations for s in result.solve_stats]
+    print(f"psd iterations/step over the {len(iters)} energy.csv steps: "
+          f"mean {sum(iters) / len(iters):.1f}, max {max(iters)}")
+    # the coarsening law E ~ t^-b, fitted over the run's last decade of time
+    t_end = config.schedule[-1].t_end
+    window = [r for r in result.records if t_end / 10 <= r.t <= t_end]
+    if len(window) >= 10 and all(r.E > 0 for r in window):
+        a, b = fit_power_law(result.records, t_end / 10, t_end)
+        print(f"energy decay: E ~ {a:.4g} t^{-b:.4f} over t in [{t_end / 10:g}, {t_end:g}] "
+              f"({len(window)} rows)")
     return EXIT_OK
 
 

@@ -36,7 +36,7 @@ _MAX_HEADER = 256  # bytes in the header line, before its newline
 
 
 class SnapshotFormatError(ValueError):
-    """Malformed snapshot header or truncated payload."""
+    """Malformed snapshot header, or a payload of the wrong size or with non-finite values."""
 
 
 def fmt17(x: float) -> str:
@@ -93,10 +93,13 @@ def read_snapshot(path: str | os.PathLike) -> tuple[Field, float]:
                 f"bad header values in {path}: need m >= 2, finite L > 0 and finite t, "
                 f"got m={mx}, L={L!r}, t={t!r}"
             )
-        payload = fh.read(mx * my * 8)
-        if len(payload) != mx * my * 8:
-            raise SnapshotFormatError(f"truncated payload in {path}")
-        values = np.frombuffer(payload, dtype="<f8").reshape(mx, my)
+        size = mx * my * 8
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if remaining != size:  # checked before reading, so a huge header allocates nothing
+            raise SnapshotFormatError(
+                f"payload of {path} is {remaining} bytes, but a {mx}x{my} grid needs {size}"
+            )
+        values = np.frombuffer(fh.read(size), dtype="<f8").reshape(mx, my)
     if not np.all(np.isfinite(values)):
         raise SnapshotFormatError(f"non-finite values in the payload of {path}")
     grid = GridSpec(L=L, m=mx)

@@ -9,7 +9,7 @@ are the per-axis sums of the one-dimensional operators.  The time stepper
 applies these operators through their Fourier symbols (:mod:`chfd.spectral`);
 this module is the independent stencil implementation that the spectral path
 is checked against, that ``chfd verify`` measures, and that builds the
-verification forcing :func:`chfd.scheme.manufactured_source_stencil`.
+verification forcing :func:`chfd.verification.manufactured_source_stencil`.
 
 A stencil along one axis reads its neighbours as slices of one copy of the
 array wrapped periodically by its half-width in ghost layers on both ends of

@@ -35,6 +35,7 @@ supplies (``Source``); the forced reference problem and its forcings live in
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -81,12 +82,13 @@ class SchemeParams:
     A: float = 1.0 / 16.0
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.A < 0:  # A dt + eps^2 < 0 can make the update objective nonconvex
-            raise ValueError(f"A must be nonnegative, got {self.A}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        # A dt + eps^2 < 0 can make the update objective nonconvex
+        if not (math.isfinite(self.A) and self.A >= 0):
+            raise ValueError(f"A must be nonnegative and finite, got {self.A}")
         if self.A < 1.0 / 16.0:
             warnings.warn(
                 f"A = {self.A} < 1/16: the modified-energy dissipation guarantee does not apply",

@@ -8,7 +8,7 @@ import yaml
 
 import chfd.cli
 import chfd.psd
-from chfd import Field, GridSpec, field_from_fn, mean, norm_linf
+from chfd import Field, GridSpec, field_from_fn, fit_power_law, mean, norm_linf
 from chfd.cli import (
     ConfigError,
     SegmentConfig,
@@ -153,6 +153,16 @@ def test_read_snapshot_rejects_garbage(tmp_path):
         vals[1, 2] = bad
         p.write_bytes(b"CHF1 4 4 1.0 0.0\n" + vals.astype("<f8").tobytes())
         with pytest.raises(SnapshotFormatError, match="non-finite values"):
+            read_snapshot(p)
+    # a payload longer than the header says, and one the header makes huge,
+    # rejected by its size before it is read
+    for header, payload, match in [
+        ("CHF1 4 4 1.0 0.0", 8 * 8 * 8, "is 512 bytes, but a 4x4 grid needs 128"),
+        ("CHF1 1000000000 1000000000 1.0 0.0", 128,
+         "is 128 bytes, but a 1000000000x1000000000 grid needs 8000000000000000000"),
+    ]:
+        p.write_bytes(header.encode() + b"\n" + b"\x00" * payload)
+        with pytest.raises(SnapshotFormatError, match=match):
             read_snapshot(p)
 
 
@@ -338,6 +348,38 @@ def test_run_end_to_end_and_deterministic(tmp_path, capsys):
     assert np.array_equal(snap0.values, expected0.values)
     _, t1 = read_snapshot(out_a / "snap_001.chf")
     assert t1 == pytest.approx(0.03)
+
+
+def test_run_summary_gives_the_iterations_and_the_decay_fit(tmp_path, capsys):
+    cfg, _ = run_config(tmp_path, "a", schedule=[{"dt": 0.01, "t_end": 1.0}])
+    assert main(["run", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    result = run_simulation(load_config(cfg), write_outputs=False)
+    iters = [s.iterations for s in result.solve_stats]
+    assert len(iters) == 100
+    assert lines[1] == (f"psd iterations/step over the 100 energy.csv steps: "
+                        f"mean {sum(iters) / 100:.1f}, max {max(iters)}")
+    # the window is the last decade of time, [t_end / 10, t_end]
+    a, b = fit_power_law(result.records, 0.1, 1.0)
+    rows = sum(0.1 <= r.t <= 1.0 for r in result.records)
+    assert rows >= 80
+    assert lines[2] == f"energy decay: E ~ {a:.4g} t^{-b:.4f} over t in [0.1, 1] ({rows} rows)"
+    assert len(lines) == 3
+
+
+@pytest.mark.parametrize("t_end, initial", [
+    (0.05, {"kind": "random", "seed": 3, "amplitude": 0.1}),  # 5 steps: too few rows to fit
+    (1.0, {"kind": "random", "mean": 1.0, "amplitude": 0.0}),  # a pure phase: E = 0
+], ids=["short", "pure-phase"])
+def test_run_summary_leaves_out_a_fit_it_cannot_make(tmp_path, capsys, t_end, initial):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(base_config(
+        schedule=[{"dt": 0.01, "t_end": t_end}], initial=initial,
+        output={"dir": str(tmp_path / "out")})))
+    assert main(["run", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("done: ")
+    assert lines[1].startswith("psd iterations/step over the ")
 
 
 def test_run_yaml_is_a_config_that_reruns_the_run(tmp_path):
@@ -550,6 +592,8 @@ def test_run_reports_unusable_files_as_config_errors(tmp_path, capsys):
         vals = np.zeros((16, 16))
         vals[3, 4] = bad
         path.write_bytes(b"CHF1 16 16 3.2 0.0\n" + vals.astype("<f8").tobytes())
+    huge = tmp_path / "huge.chf"
+    huge.write_bytes(b"CHF1 1000000000 1000000000 3.2 0.0\n" + b"\x00" * (16 * 16 * 8))
     taken = tmp_path / "taken"
     taken.write_text("")
     for bad_path, section in [
@@ -558,6 +602,7 @@ def test_run_reports_unusable_files_as_config_errors(tmp_path, capsys):
         (timeless, {"initial": {"kind": "file", "path": str(timeless)}}),  # t = nan
         (nan_cell, {"initial": {"kind": "file", "path": str(nan_cell)}}),
         (inf_cell, {"initial": {"kind": "file", "path": str(inf_cell)}}),
+        (huge, {"initial": {"kind": "file", "path": str(huge)}}),  # header of 8e18 bytes
         (taken, {"output": {"dir": str(taken)}}),  # output dir is a file
     ]:
         config = tmp_path / "c.yaml"

@@ -429,3 +429,10 @@ def test_scheme_params_validation():
         SchemeParams(eps=0.1, dt=-1.0)
     with pytest.raises(ValueError, match="A must be nonnegative"):
         SchemeParams(eps=0.1, dt=0.01, A=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for kwargs, name in [({"eps": nan, "dt": 0.01}, "eps"), ({"eps": inf, "dt": 0.01}, "eps"),
+                         ({"eps": 0.1, "dt": nan}, "dt"), ({"eps": 0.1, "dt": inf}, "dt"),
+                         ({"eps": 0.1, "dt": 0.01, "A": nan}, "A"),
+                         ({"eps": 0.1, "dt": 0.01, "A": inf}, "A")]:
+        with pytest.raises(ValueError, match=f"{name} must be .* and finite"):
+            SchemeParams(**kwargs)

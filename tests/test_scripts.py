@@ -1,0 +1,19 @@
+"""Smoke tests of the scripts in scripts/, run as a user runs them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_profile_step_profiles_steady_state_steps():
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "profile_step.py"), "steps", "--m", "16",
+         "--steps", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("2 steps at m=16, "), proc.stdout
