@@ -41,13 +41,22 @@ class EnergyRecord:
     residual: float
 
 
-def energy(phi: Field, eps: float, plan: SpectralPlan) -> float:
+# ``work`` below: None, or buffers for the temporaries (a float array on the
+# grid and two complex arrays of the rfft shape), such as the ``scratch`` of
+# the solver workspace (chfd.psd.UpdateOperator)
+Work = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def energy(phi: Field, eps: float, plan: SpectralPlan, work: Work | None = None) -> float:
     """Free energy; nonnegative by construction."""
     _check_same_grid(plan, phi)
-    hd = phi.grid.h**2
-    well = 0.25 * hd * float(np.sum((phi.values**2 - 1.0) ** 2))
+    field_work, spec_work, _ = work or (None, None, None)
+    w = np.multiply(phi.values, phi.values, out=field_work)
+    w -= 1.0
+    well = 0.25 * phi.grid.h**2 * float(np.sum(np.square(w, out=w)))
     spec = phi.spectrum
-    return well + 0.5 * eps**2 * _inner(plan, spec, plan.Lambda_long * spec)
+    grad = _inner(plan.grid, spec, np.multiply(plan.Lambda_long, spec, out=spec_work))
+    return well + 0.5 * eps**2 * grad
 
 
 def modified_energy(
@@ -56,6 +65,7 @@ def modified_energy(
     dt: float,
     plan: SpectralPlan,
     E: float,
+    work: Work | None = None,
 ) -> float:
     """Dissipated Lyapunov functional of the two-step scheme.
 
@@ -68,9 +78,10 @@ def modified_energy(
     m_new, m_old = mean(phi_new), mean(phi_old)
     if abs(m_new - m_old) > 1e-9 * (1.0 + abs(m_old)):
         raise ValueError(f"means differ ({m_new!r} vs {m_old!r}); increment is not mean-free")
-    spec = phi_new.spectrum - phi_old.spectrum
-    hm1_sq = _inner(plan, spec, plan.inv_Lambda * spec)
-    l2_sq = _inner(plan, spec, spec)
+    _, spec_work, weighted = work or (None, None, None)
+    spec = np.subtract(phi_new.spectrum, phi_old.spectrum, out=spec_work)
+    hm1_sq = _inner(plan.grid, spec, np.multiply(plan.inv_Lambda, spec, out=weighted))
+    l2_sq = _inner(plan.grid, spec, spec)
     return E + hm1_sq / (4.0 * dt) + 0.5 * l2_sq
 
 

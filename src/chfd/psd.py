@@ -33,6 +33,7 @@ methods", 2006.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -50,6 +51,7 @@ __all__ = [
     "SolverError",
     "LineSearchCubic",
     "UpdateOperator",
+    "workspace",
     "solve",
 ]
 
@@ -140,7 +142,7 @@ class LineSearchCubic:
 
 
 class UpdateOperator:
-    """Residual, search directions and line-search cubic of one update.
+    """Residual, search directions and line-search cubic of the update on one grid.
 
     With Lambda the symbol of -lap4 (so 1/Lambda is the inverse Laplacian on
     mean-zero data) and H = 2 phi_k - 1/2 phi_km1,
@@ -149,49 +151,75 @@ class UpdateOperator:
         S = 3/(2 Lambda) + dt (eps^2 + A dt) Lambda.
 
     The residual r = P0(f - N[phi]) is kept as its spectrum P0(f^ - Lin^ -
-    dt rfft2(phi^3)).  Lin is affine in phi: :meth:`start` sets f^ - Lin^ and
-    :meth:`move` shifts it by -alpha S d^, so an iteration takes two transforms,
-    rfft2 of phi^3 and the inverse of d for the line search's pointwise sums,
-    each as two one-dimensional passes into the operator's buffers
-    (:func:`chfd.grid._rfft2`, :func:`chfd.grid._irfft2`).
+    dt rfft2(phi^3)).  Lin is affine in phi: :meth:`start` sets f^ - Lin^ from
+    the spectrum of the starting point and :meth:`move` shifts it by
+    -alpha S d^, with the S d^ that :meth:`direction` formed, so an iteration
+    takes two transforms, rfft2 of phi^3 and the inverse of d for the line
+    search's pointwise sums, each as two one-dimensional passes into the
+    operator's buffers (:func:`chfd.grid._rfft2`, :func:`chfd.grid._irfft2`).
     The preconditioner is the Hessian symbol sigma = S + 3 dt mean(phi_k^2).
     S, 1/Lambda and 1/sigma vanish at the zero mode, which keeps every iterate
-    on the mass hyperplane.  One operator serves one solve: it keeps the last z
-    and d, and returns its work buffers, which the next call overwrites.
+    on the mass hyperplane.
+
+    Lifecycle: an operator is built for one (plan, params) and serves any
+    number of solves, each opened by :meth:`start`, which resets 1/sigma, the
+    last direction and its scalars in place; a solve leaves nothing that the
+    next one reads.  :func:`solve` uses the plan's own operator from
+    :func:`workspace`: built on the plan's first solve, replaced when dt
+    changes, dropped with the plan, and serving one solve at a time.  Between
+    solves, ``rhs`` (f^ for :func:`solve`, which overwrites it), ``scratch`` (a
+    float array on the grid and two spectra) and ``finite`` (bool, on the
+    grid) are free for a step's right-hand side and diagnostics.  Every
+    operator, the plan's or one a caller builds, has buffers of its own; its
+    methods return views of them, which the next call overwrites.
     """
 
-    def __init__(self, plan: SpectralPlan, params: SchemeParams, state: StepState):
+    def __init__(self, plan: SpectralPlan, params: SchemeParams):
         grid = plan.grid
-        self.plan = plan
-        self.state = state
-        self.dt = params.dt
-        visc = params.dt * (params.A * params.dt + params.eps**2)
+        self.grid = grid
+        self.dt = dt = params.dt
         self.hd = grid.h**2
-        self.S = 1.5 * plan.inv_Lambda + visc * plan.Lambda_long
-        phi_k = state.phi_curr.values
-        sigma = self.S + 3.0 * self.dt * float(np.vdot(phi_k, phi_k)) / phi_k.size
-        sigma[0, 0] = np.inf  # 1/sigma = 0 at the zero mode
-        self.inv_sigma = 1.0 / sigma
-        # spectra: f^ - Lin^ at the iterate, r^, and z^ and d^ of the last
+        self.inv_Lambda = plan.inv_Lambda
+        self.S = 1.5 * plan.inv_Lambda + dt * (params.A * dt + params.eps**2) * plan.Lambda_long
+        # f^ = rhs_symbol phi_k^ - dt phi_km1^ (+ a forcing): chfd.scheme.assemble_rhs
+        self.rhs_symbol = params.A * dt**2 * plan.Lambda_long + 2.0 * dt
+        self.inv_sigma = np.empty_like(self.S)
+        # spectra: f^ - Lin^ at the iterate, r^, and z^, d^ and S d^ of the last
         # direction (d^ = 0 before the first); (r, z), (r, d) and (d, S d) of it
-        self._lin_hat, self._r_hat, self._z_hat, self._d_hat = np.zeros((4, *sigma.shape), complex)
+        spectra = np.zeros((5, *self.S.shape), complex)
+        self._lin_hat, self._r_hat, self._z_hat, self._d_hat, self._sd_hat = spectra
         self._rz = self._rd = self._dsd = 0.0
         self._d, self._work = np.empty((2,) + grid.shape)  # d, and room for phi^3 or phi d^2
+        self.rhs = self._lin_hat
+        self.scratch = (self._work, self._r_hat, self._z_hat)
+        self.finite = np.empty(grid.shape, bool)
 
-    def start(self, phi: np.ndarray, f_hat: np.ndarray) -> None:
-        """Set f^ - Lin^ (the residual's linear part) at phi.
+    @functools.cached_property
+    def source_symbol(self) -> np.ndarray:
+        """dt / Lambda: how a forcing's spectrum enters f^ (forced runs only)."""
+        return self.dt * self.inv_Lambda
 
-        phi^ and H^ use the idle d^ and z^ buffers: fresh ones raise a 512^2 run's peak memory.
+    def start(self, state: StepState, guess_hat: np.ndarray, f_hat: np.ndarray) -> None:
+        """Open a solve of the update from ``state``: 1/sigma from mean phi_k^2, and
+        f^ - Lin^ (the residual's linear part) at the field whose spectrum is ``guess_hat``.
+
+        ``f_hat`` may be ``self.rhs`` and ``guess_hat`` the idle d^ buffer.  H^ and
+        S guess^ use the idle z^ and S d^ buffers.
         """
-        phi_hat = _rfft2(phi, out=self._d_hat)
-        hist_hat = np.multiply(self.state.phi_prev.spectrum, -0.25, out=self._z_hat)
-        hist_hat += self.state.phi_curr.spectrum
+        phi_k = state.phi_curr.values
+        sigma = np.add(self.S, 3.0 * self.dt * float(np.vdot(phi_k, phi_k)) / phi_k.size,
+                       out=self.inv_sigma)
+        sigma[0, 0] = np.inf  # 1/sigma = 0 at the zero mode
+        np.divide(1.0, sigma, out=self.inv_sigma)
+        hist_hat = np.multiply(state.phi_prev.spectrum, -0.25, out=self._z_hat)
+        hist_hat += state.phi_curr.spectrum
         hist_hat *= 2.0  # H^ = 2 (phi_k^ - phi_km1^ / 4) = 2 phi_k^ - phi_km1^ / 2
-        lin_hat = np.multiply(phi_hat, self.S, out=self._lin_hat)
-        np.subtract(f_hat, lin_hat, out=lin_hat)
-        hist_hat *= self.plan.inv_Lambda
+        hist_hat *= self.inv_Lambda
+        lin_hat = np.multiply(guess_hat, self.S, out=self._sd_hat)
+        lin_hat = np.subtract(f_hat, lin_hat, out=self._lin_hat)
         lin_hat += hist_hat
         self._d_hat.fill(0.0)
+        self._rz = self._rd = self._dsd = 0.0
 
     def residual(self, phi: np.ndarray) -> np.ndarray:
         """The spectrum r^ of r = P0(f - N[phi]), for phi at the iterate of f^ - Lin^."""
@@ -207,23 +235,23 @@ class UpdateOperator:
         """Next search direction d for the residual spectrum r^.
 
         The first call of a solve gives z = r / sigma; later calls give the PR+
-        direction z + beta d_prev, or z again where (r, d) <= 0.  Keeps d^,
-        (r, d) and (d, S d) for :meth:`cubic`.
+        direction z + beta d_prev, or z again where (r, d) <= 0.  Keeps d^, S d^,
+        (r, d) and (d, S d) for :meth:`cubic` and :meth:`move`.
         """
-        plan, z_hat, d_hat, rz_prev = self.plan, self._z_hat, self._d_hat, self._rz
-        r_zprev = _inner(plan, r_hat, z_hat) if rz_prev else 0.0
+        grid, z_hat, d_hat, rz_prev = self.grid, self._z_hat, self._d_hat, self._rz
+        r_zprev = _inner(grid, r_hat, z_hat) if rz_prev else 0.0
         np.multiply(r_hat, self.inv_sigma, out=z_hat)
-        rz = _inner(plan, r_hat, z_hat)
+        rz = _inner(grid, r_hat, z_hat)
         beta = max(0.0, (rz - r_zprev) / rz_prev) if rz_prev else 0.0
-        rd = rz + beta * _inner(plan, r_hat, d_hat) if beta > 0.0 else rz
+        rd = rz + beta * _inner(grid, r_hat, d_hat) if beta > 0.0 else rz
         if rd <= 0.0:
             beta, rd = 0.0, rz  # restart: c0 = -(r, d) would not be negative
         d_hat *= beta
         d_hat += z_hat
-        # r^ is spent: its buffer holds S d^, then the first pass of the inverse
-        sd_hat = np.multiply(d_hat, self.S, out=self._r_hat)
-        self._rz, self._rd, self._dsd = rz, rd, _inner(plan, d_hat, sd_hat)
-        return _irfft2(d_hat, plan.grid.m, out=self._d, work=self._r_hat)
+        sd_hat = np.multiply(d_hat, self.S, out=self._sd_hat)
+        self._rz, self._rd, self._dsd = rz, rd, _inner(grid, d_hat, sd_hat)
+        # r^ is spent: its buffer takes the first pass of the inverse
+        return _irfft2(d_hat, grid.m, out=self._d, work=self._r_hat)
 
     def cubic(self, phi: np.ndarray) -> LineSearchCubic:
         """q(alpha) = (N[phi + alpha d] - f, d) along the last direction d from phi."""
@@ -239,12 +267,24 @@ class UpdateOperator:
         )
 
     def move(self, phi: np.ndarray, alpha: float) -> None:
-        """phi += alpha d in place, and f^ - Lin^ with it."""
-        sd_hat = np.multiply(self._d_hat, self.S, out=self._r_hat)
+        """phi += alpha d in place, and f^ - Lin^ with it (spends the kept S d^)."""
+        sd_hat = self._sd_hat
         sd_hat *= alpha
         self._lin_hat -= sd_hat
         self._d *= alpha
         phi += self._d
+
+
+def workspace(plan: SpectralPlan, params: SchemeParams) -> UpdateOperator:
+    """The plan's operator for ``params``, built on first use.
+
+    The plan keeps one operator: a new ``params`` (a dt switch) replaces it.
+    """
+    op = plan.operators.get(params)
+    if op is None:
+        plan.operators.clear()
+        op = plan.operators[params] = UpdateOperator(plan, params)
+    return op
 
 
 def solve(
@@ -255,8 +295,9 @@ def solve(
 ) -> tuple[Field, SolveStats]:
     """Minimize the update objective on the mass hyperplane.
 
-    ``rhs`` is the spectrum f^ from :func:`chfd.scheme.assemble_rhs`.  Starts
-    from the extrapolation 2 phi_k - phi_km1 and stops when
+    ``rhs`` is the spectrum f^ from :func:`chfd.scheme.assemble_rhs`.  Works
+    in the plan's operator (:func:`workspace`).  Starts from the extrapolation
+    2 phi_k - phi_km1, with its spectrum formed from the history's, and stops when
     |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + TOL_REL |P0 f|_2, within
     MAX_ITER iterations.  Raises :class:`SolverError` (carrying the residual
     history) on non-convergence, at a residual that is not finite, or at one
@@ -266,20 +307,24 @@ def solve(
     _check_same_grid(plan, state.phi_curr)
     if rhs.shape != plan.Lambda_long.shape:
         raise ValueError(f"rhs spectrum shape {rhs.shape} does not match the plan's grid")
-    grid = state.phi_curr.grid
-    op = UpdateOperator(plan, params, state)
-    phi = 2.0 * state.phi_curr.values - state.phi_prev.values
-    f_sq = _inner(plan, rhs, rhs)
+    grid = plan.grid
+    op = workspace(plan, params)
+    f_sq = _inner(grid, rhs, rhs)
     f0_sq = f_sq - grid.h**2 / grid.m**2 * abs(rhs[0, 0]) ** 2  # without the zero mode
     tol = _TOL_FLOOR * (1.0 + math.sqrt(f_sq)) + TOL_REL * math.sqrt(max(f0_sq, 0.0))
 
-    op.start(phi, rhs)
+    # the guess: the new field's values, and its spectrum from the history's
+    phi = np.multiply(state.phi_curr.values, 2.0)
+    phi -= state.phi_prev.values
+    guess_hat = np.multiply(state.phi_curr.spectrum, 2.0, out=op._d_hat)
+    guess_hat -= state.phi_prev.spectrum
+    op.start(state, guess_hat, rhs)
     residuals: list[float] = []
     objectives = [0.0]  # F - F(guess) at each iterate
 
     for it in range(MAX_ITER + 1):
         r_hat = op.residual(phi)
-        rnorm = float(np.sqrt(_inner(plan, r_hat, r_hat)))
+        rnorm = float(np.sqrt(_inner(grid, r_hat, r_hat)))
         residuals.append(rnorm)
         if rnorm <= tol:
             return Field(grid, phi), SolveStats(it, residuals, objectives)

@@ -166,6 +166,7 @@ def assemble_rhs(
     params: SchemeParams,
     plan: SpectralPlan,
     source: Source | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Spectrum f^ (rfft layout) of the right-hand side of N[phi] = f.
 
@@ -173,14 +174,18 @@ def assemble_rhs(
     dt * (-lap4)^{-1} S(t_{k+1}) when a source is present (the whole update
     equation is mapped through the negative inverse Laplacian, so the source
     enters through it as well).  The history enters through its cached
-    spectra; a source adds one transform.
+    spectra; a source adds one transform.  The symbols and the scratch come
+    from the plan's solver workspace (:func:`chfd.psd.workspace`); f^ goes to
+    ``out``, or to a new array.
     """
     _check_same_grid(plan, state.phi_curr)
-    dt = params.dt
-    f_hat = np.multiply(params.A * dt**2 * plan.Lambda_long + 2.0 * dt, state.phi_curr.spectrum)
-    f_hat -= dt * state.phi_prev.spectrum
+    ws = _psd.workspace(plan, params)
+    tmp = ws.scratch[1]
+    f_hat = np.multiply(ws.rhs_symbol, state.phi_curr.spectrum, out=out)
+    f_hat -= np.multiply(state.phi_prev.spectrum, params.dt, out=tmp)
     if source is not None:
-        f_hat += dt * plan.inv_Lambda * sample_source(source, plan.grid, state.t + dt).spectrum
+        s_hat = sample_source(source, plan.grid, state.t + params.dt).spectrum
+        f_hat += np.multiply(ws.source_symbol, s_hat, out=tmp)
     return f_hat
 
 
@@ -190,11 +195,17 @@ def step(
     plan: SpectralPlan,
     source: Source | None = None,
 ) -> tuple[StepState, StepDiagnostics]:
-    """Advance one time step; returns the new state and its diagnostics."""
-    rhs = assemble_rhs(state, params, plan, source)
+    """Advance one time step; returns the new state and its diagnostics.
+
+    Past the plan's first solve, the only arrays a step allocates are the new
+    field and its spectrum: the right-hand side and the diagnostics work in the
+    buffers of the plan's solver workspace (:func:`chfd.psd.workspace`).
+    """
+    ws = _psd.workspace(plan, params)
+    rhs = assemble_rhs(state, params, plan, source, out=ws.rhs)
     # through the module attribute, so a wrapper patched onto chfd.psd.solve runs
     phi_new, stats = _psd.solve(state, params, rhs, plan)
-    if not np.all(np.isfinite(phi_new.values)):
+    if not np.isfinite(phi_new.values, out=ws.finite).all():
         raise NonFiniteStateError(f"non-finite field after step {state.step_index + 1}")
     new_mass = mean(phi_new)
     if abs(new_mass - state.beta0) > _MASS_DRIFT_TOL * (1.0 + abs(state.beta0)):
@@ -202,13 +213,13 @@ def step(
             f"mass drifted to {new_mass!r} (beta0 = {state.beta0!r}) at step {state.step_index + 1}"
         )
     t_new = state.t + params.dt
-    E = energy(phi_new, params.eps, plan)
+    E = energy(phi_new, params.eps, plan, work=ws.scratch)
     record = EnergyRecord(
         step=state.step_index + 1,
         t=t_new,
         mass=new_mass,
         E=E,
-        E_mod=modified_energy(phi_new, state.phi_curr, params.dt, plan, E=E),
+        E_mod=modified_energy(phi_new, state.phi_curr, params.dt, plan, E=E, work=ws.scratch),
         psd_iters=stats.iterations,
         residual=stats.residuals[-1],
     )

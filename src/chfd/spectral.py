@@ -22,7 +22,7 @@ friends are stored in the rfft layout: the last axis holds modes 0..m//2 only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class SpectralPlan:
     lambda_long: np.ndarray  # (m,) per-axis symbols, FFT frequency order
     Lambda_long: np.ndarray  # -(sum of per-axis lambda_long); (m, m//2+1)
     inv_Lambda: np.ndarray  # 1/Lambda_long with the zero mode set to 0
+    # the solve's workspace on this grid, {SchemeParams: chfd.psd.UpdateOperator},
+    # at most one entry (chfd.psd.workspace); it dies with the plan
+    operators: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def make_plan(grid: GridSpec) -> SpectralPlan:
@@ -64,12 +67,11 @@ def make_plan(grid: GridSpec) -> SpectralPlan:
     return SpectralPlan(grid, lam_long, Lam, inv)
 
 
-def _inner(plan: SpectralPlan, a: np.ndarray, b: np.ndarray) -> float:
-    """Real inner product (u, v)_2 from the rfft spectra of u and v.
+def _inner(g: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
+    """Real inner product (u, v)_2 from the rfft spectra of u and v on grid g.
 
-    A quadratic form (u, S u)_2 with a real symbol S is ``_inner(plan, u^, S u^)``.
+    A quadratic form (u, S u)_2 with a real symbol S is ``_inner(g, u^, S u^)``.
     """
-    g = plan.grid
     # every column stands for itself and its conjugate mirror, except the
     # zero column and, for even m, the Nyquist column
     s = 2.0 * np.vdot(a, b).real - np.vdot(a[:, 0], b[:, 0]).real

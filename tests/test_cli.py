@@ -359,11 +359,12 @@ def test_run_summary_gives_the_iterations_and_the_decay_fit(tmp_path, capsys):
     assert len(iters) == 100
     assert lines[1] == (f"psd iterations/step over the 100 energy.csv steps: "
                         f"mean {sum(iters) / 100:.1f}, max {max(iters)}")
-    # the window is the last decade of time, [t_end / 10, t_end]
-    a, b = fit_power_law(result.records, 0.1, 1.0)
-    rows = sum(0.1 <= r.t <= 1.0 for r in result.records)
-    assert rows >= 80
-    assert lines[2] == f"energy decay: E ~ {a:.4g} t^{-b:.4f} over t in [0.1, 1] ({rows} rows)"
+    # the window is the last decade of time, [t_end / 10, t_end], with both end
+    # rows although the summed step times miss them by rounding
+    window = [r for r in result.records if 0.1 - 1e-9 <= r.t <= 1.0 + 1e-9]
+    assert len(window) == 91 and window[0].t < 0.1 and window[-1].t > 1.0
+    a, b = fit_power_law(window, window[0].t, window[-1].t)
+    assert lines[2] == f"energy decay: E ~ {a:.4g} t^{-b:.4f} over t in [0.1, 1] (91 rows)"
     assert len(lines) == 3
 
 

@@ -18,6 +18,7 @@ from chfd.psd import (
     SolverError,
     UpdateOperator,
     solve,
+    workspace,
 )
 from chfd.scheme import SchemeParams, StepState, restart_flat, step
 
@@ -73,9 +74,9 @@ def problem():
     return make_problem(32)
 
 
-def first_search(op, phi, rhs):
-    """(r^, d) of the operator at phi, as the first iteration of a solve."""
-    op.start(phi, rhs)
+def first_search(op, state, phi, rhs):
+    """(r^, d) of the operator at phi, as the first iteration of a solve from state."""
+    op.start(state, np.fft.rfft2(phi), rhs)
     r_hat = op.residual(phi).copy()
     return r_hat, op.direction(r_hat)
 
@@ -93,9 +94,9 @@ def oracle_residual_hat(state, params, phi, rhs, plan):
 
 
 def assert_operator_matches_oracles(grid, plan, params, state, rhs):
-    op = UpdateOperator(plan, params, state)
+    op = UpdateOperator(plan, params)
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
-    r_hat, d = first_search(op, phi, rhs)
+    r_hat, d = first_search(op, state, phi, rhs)
     assert rel_gap(r_hat, oracle_residual_hat(state, params, phi, rhs, plan)) <= 1e-12
     r = Field(grid, np.fft.irfft2(r_hat, s=grid.shape))
     d_oracle = oracle_precondition(r, hessian_sigma(state, params))
@@ -152,16 +153,32 @@ def test_solve_matches_paper_method_in_fewer_iterations(problem):
 
 
 def test_an_iteration_takes_one_transform_each_way(problem, fft_calls):
-    """start transforms only the guess (f and the history come as spectra); then
-    each residual is one forward transform (rfft over axis 1, fft over 0) and
+    """f, the history and so the guess come as spectra: start transforms nothing.
+    Then each residual is one forward transform (rfft over axis 1, fft over 0) and
     each direction one inverse transform (ifft over axis 0, irfft over 1)."""
     grid, plan, params, state, rhs = problem
     _, stats = solve(state, params, rhs, plan)
     n = stats.iterations
     assert n > 3
-    forward = 1 + n + 1
+    forward = n + 1
     assert {k: v for k, v in fft_calls.items() if v} == {
         "rfft": forward, "fft": forward, "ifft": n, "irfft": n}
+
+
+def test_operators_share_no_memory(problem):
+    """Two operators a caller builds, and the plan's own, have buffers of their
+    own; they share only the plan's read-only 1/Lambda table."""
+    grid, plan, params, state, rhs = problem
+    ops = [UpdateOperator(plan, params), UpdateOperator(plan, params), workspace(plan, params)]
+
+    def buffers(op):
+        return [v for v in vars(op).values()
+                if isinstance(v, np.ndarray) and v is not plan.inv_Lambda]
+
+    for i, a in enumerate(ops):
+        for b in ops[i + 1:]:
+            for x in buffers(a):
+                assert not any(np.shares_memory(x, y) for y in buffers(b))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +230,9 @@ def test_cubic_root_rejects_a_cubic_that_is_not_monotone():
 
 def test_line_search_minimizes_objective(problem):
     grid, plan, params, state, rhs = problem
-    op = UpdateOperator(plan, params, state)
+    op = UpdateOperator(plan, params)
     phi = state.phi_curr.values
-    _, d = first_search(op, phi, rhs)
+    _, d = first_search(op, state, phi, rhs)
     alpha = op.cubic(phi).root()
 
     def F_along(a):
@@ -236,9 +253,9 @@ def test_line_search_cubic_coefficients_signs(problem):
     """At the current iterate the slope c0 is negative along the
     preconditioned residual, c1 > 0, c3 >= 0, c2^2 <= 3 c1 c3."""
     grid, plan, params, state, rhs = problem
-    op = UpdateOperator(plan, params, state)
+    op = UpdateOperator(plan, params)
     phi = state.phi_curr.values
-    r_hat, d = first_search(op, phi, rhs)
+    r_hat, d = first_search(op, state, phi, rhs)
     q = op.cubic(phi)
     assert q.c0 < 0  # descent direction
     assert q.c1 > 0
@@ -252,8 +269,9 @@ def test_restart_returns_a_descent_step(problem):
     """Where the PR+ direction is not a descent direction, it restarts at z."""
     grid, plan, params, state, rhs = problem
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
-    r_hat, z = first_search(UpdateOperator(plan, params, state), phi, rhs)
-    op = UpdateOperator(plan, params, state)
+    r_hat, z = first_search(UpdateOperator(plan, params), state, phi, rhs)
+    op = UpdateOperator(plan, params)
+    op.start(state, np.fft.rfft2(phi), rhs)
     # after a previous residual -r, beta = 2 and z + beta d_prev = -z: ascent
     op.direction(-r_hat)
     d = op.direction(r_hat)
@@ -268,9 +286,9 @@ def test_restart_returns_a_descent_step(problem):
 
 def test_zero_direction_rejected(problem):
     grid, plan, params, state, rhs = problem
-    op = UpdateOperator(plan, params, state)
+    op = UpdateOperator(plan, params)
     phi = state.phi_curr.values
-    r_hat, _ = first_search(op, phi, rhs)
+    r_hat, _ = first_search(op, state, phi, rhs)
     op.direction(np.zeros_like(r_hat))
     with pytest.raises(ValueError):
         op.cubic(phi).root()

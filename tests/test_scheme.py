@@ -1,4 +1,8 @@
 import ast
+import dataclasses
+import gc
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -236,8 +240,8 @@ def test_objective_directional_derivative_is_residual():
         return oracle_F(state, params, phi.values + a * d.values, f, plan)
 
     fd = (F_at(alpha) - F_at(-alpha)) / (2 * alpha)
-    op = UpdateOperator(plan, params, state)
-    op.start(phi.values, f)
+    op = UpdateOperator(plan, params)
+    op.start(state, phi.spectrum, f)
     # the residual is P0(f - N[phi]); d is mean-zero, so (N[phi] - f, d) = -(r, d)
     residual = Field(grid, np.fft.irfft2(op.residual(phi.values), s=grid.shape))
     assert fd == pytest.approx(-inner_l2(residual, d), rel=1e-6, abs=1e-10)
@@ -308,9 +312,9 @@ def test_step_decreases_modified_energy(grid32):
 
 
 def test_a_steady_state_step_transforms_each_field_once(grid32, fft_calls):
-    """Past the first step the history's spectra are cached: a step transforms
-    the guess, each residual and the new field, and brings back only the
-    search directions."""
+    """Past the first step the history's spectra are cached, and the guess's
+    spectrum is formed from them: a step transforms each residual and the new
+    field, and brings back only the search directions."""
     plan = make_plan(grid32)
     params = SchemeParams(eps=0.1, dt=0.01)
     state, _ = step(restart_flat(random_field(grid32, 53, scale=0.2)), params, plan)
@@ -319,7 +323,76 @@ def test_a_steady_state_step_transforms_each_field_once(grid32, fft_calls):
     n = diag.solve.iterations
     assert n > 3
     assert {k: v for k, v in fft_calls.items() if v} == {
-        "rfft": n + 3, "fft": n + 3, "ifft": n, "irfft": n}
+        "rfft": n + 2, "fft": n + 2, "ifft": n, "irfft": n}
+
+
+def test_a_steady_state_step_allocates_only_its_new_field():
+    """Past the plan's first solve, the rhs, the solve and the diagnostics work in
+    the plan's workspace: the traced peak over a step (numpy's allocations and
+    the rest) stays under five fields, and of numpy's allocations only the new
+    field and its spectrum outlive the step."""
+    grid = GridSpec(L=12.8, m=64)
+    plan = make_plan(grid)
+    params = SchemeParams(eps=0.05, dt=0.01)
+    state = restart_flat(random_field(grid, 54, scale=0.1))
+    for _ in range(2):
+        state, _ = step(state, params, plan)
+    tracemalloc.start()
+    try:
+        state, diag = step(state, params, plan)
+        _, peak = tracemalloc.get_traced_memory()
+        kept = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    assert diag.solve.iterations > 3
+    field_bytes = state.phi_curr.values.nbytes
+    assert peak < 5 * field_bytes
+    assert sum(t.size for t in kept.traces) == field_bytes + state.phi_curr.spectrum.nbytes
+
+
+def test_states_stepped_alternately_match_each_stepped_alone(grid32):
+    """Two histories share a plan's workspace, one solve after the other; a solve
+    reads nothing that the other left in it."""
+    params = SchemeParams(eps=0.1, dt=0.01)
+    starts = [restart_flat(random_field(grid32, 55, scale=0.2)),
+              restart_flat(Field(grid32, 0.1 + random_field(grid32, 56, scale=0.3).values))]
+
+    def stepped_alone(state):
+        plan = make_plan(grid32)
+        for _ in range(4):
+            state, _ = step(state, params, plan)
+        return state.phi_curr.values
+
+    plan = make_plan(grid32)
+    states = list(starts)
+    for _ in range(4):
+        states = [step(state, params, plan)[0] for state in states]
+    for start, state in zip(starts, states):
+        assert np.array_equal(state.phi_curr.values, stepped_alone(start))
+
+
+def test_the_workspace_lives_on_its_plan(grid32):
+    """A plan keeps one operator: reused by every step at one dt, replaced at a
+    dt switch, and gone with the plan."""
+    plan = make_plan(grid32)
+    first, second = SchemeParams(eps=0.1, dt=0.01), SchemeParams(eps=0.1, dt=0.02)
+    state = restart_flat(random_field(grid32, 57, scale=0.2))
+    assert plan.operators == {}
+    state, _ = step(state, first, plan)
+    op = plan.operators[first]
+    state, _ = step(state, first, plan)
+    assert plan.operators == {first: op}
+    replaced = weakref.ref(op)
+    del op
+    state, _ = step(dataclasses.replace(state, phi_prev=state.phi_curr), second, plan)
+    assert list(plan.operators) == [second]
+    gc.collect()
+    assert replaced() is None
+    last = weakref.ref(plan.operators[second])
+    del plan
+    gc.collect()
+    assert last() is None
 
 
 def test_stepper_applies_lap4_without_stencil_rolls(grid32, monkeypatch):

@@ -16,4 +16,6 @@ def test_profile_step_profiles_steady_state_steps():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("2 steps at m=16, "), proc.stdout
+    header, faults = proc.stdout.splitlines()[:2]
+    assert header.startswith("2 steps at m=16, "), proc.stdout
+    assert faults.startswith("minor page faults per step: ") and len(faults.split()) == 7
