@@ -7,8 +7,14 @@ equation of the strictly convex objective
              + dt/2 (A dt + eps^2) |grad4 phi|^2 - (f, phi),
 
 with B = 3/2 phi - 2 phi_k + 1/2 phi_km1, on the mass hyperplane
-mean(phi) = beta0.  :class:`UpdateOperator` holds the residual and the
-line-search cubic in Fourier form; :func:`solve` is the only loop that drives it.
+mean(phi) = beta0.  With Lambda the symbol of -lap4 (1/Lambda set to 0 at
+the zero mode) and g the source sampled at t_k + dt, f has the spectrum
+
+    f^ = (A dt^2 Lambda + 2 dt) phi_k^ - dt phi_km1^ + dt g^ / Lambda,
+
+formed from the history's cached spectra.  :class:`UpdateOperator` holds f^,
+the residual and the line-search cubic in Fourier form, so every coefficient
+of the update has one home; :func:`solve` is the only loop that drives it.
 
 Each iteration projects the residual r onto the mean-zero subspace and
 applies the inverse of the constant-coefficient part of the Hessian of F
@@ -111,18 +117,23 @@ class LineSearchCubic:
         )
 
     def root(self) -> float:
-        """Unique real root, by safeguarded Newton between 0 and -4 c0/c1.
+        """Unique real root, by safeguarded Newton between 0 and a bound on it.
 
         The update's cubic has c2^2 <= 3 c1 c3 (Cauchy-Schwarz on (phi d, d^2),
         with (d, S d) > 0 in c1), so q' >= 0 and the mean slope of q from 0 to
-        alpha, c1 + c2 alpha + c3 alpha^2, is at least c1/4: that bounds the root.
+        alpha, c1 + c2 alpha + c3 alpha^2, is at least c1/4 and at least
+        c3 alpha^2/4: the root lies within min(4|c0|/c1, cbrt(4|c0|/c3)) of 0,
+        on the side of -c0.  Newton starts at -c0/c1, or at that bound if nearer.
         """
         c0, c1, c2, c3 = self.c0, self.c1, self.c2, self.c3
         if not (c1 > 0.0 and c2 * c2 <= 3.0 * c1 * c3):
             raise ValueError(f"cubic is not monotone (c1 = {c1}, c2 = {c2}, c3 = {c3})")
         tol = 1e-12 * abs(c0) + 1e-30
-        lo, hi = sorted((0.0, -4.0 * c0 / c1))
-        alpha = -c0 / c1
+        reach = 4.0 * abs(c0) / c1
+        if c3 > 0.0:
+            reach = min(reach, (4.0 * abs(c0) / c3) ** (1.0 / 3.0))
+        lo, hi = sorted((0.0, math.copysign(reach, -c0)))
+        alpha = min(max(-c0 / c1, lo), hi)
         for _ in range(200):
             q = self(alpha)
             if abs(q) <= tol:
@@ -167,9 +178,8 @@ class UpdateOperator:
     next one reads.  :func:`solve` uses the plan's own operator from
     :func:`workspace`: built on the plan's first solve, replaced when dt
     changes, dropped with the plan, and serving one solve at a time.  Between
-    solves, ``rhs`` (f^ for :func:`solve`, which overwrites it), ``scratch`` (a
-    float array on the grid and two spectra) and ``finite`` (bool, on the
-    grid) are free for a step's right-hand side and diagnostics.  Every
+    solves, ``scratch`` (a float array on the grid and two spectra) and
+    ``finite`` (bool, on the grid) are free for a step's diagnostics.  Every
     operator, the plan's or one a caller builds, has buffers of its own; its
     methods return views of them, which the next call overwrites.
     """
@@ -181,8 +191,7 @@ class UpdateOperator:
         self.hd = grid.h**2
         self.inv_Lambda = plan.inv_Lambda
         self.S = 1.5 * plan.inv_Lambda + dt * (params.A * dt + params.eps**2) * plan.Lambda_long
-        # f^ = rhs_symbol phi_k^ - dt phi_km1^ (+ a forcing): chfd.scheme.assemble_rhs
-        self.rhs_symbol = params.A * dt**2 * plan.Lambda_long + 2.0 * dt
+        self._rhs_symbol = params.A * dt**2 * plan.Lambda_long + 2.0 * dt
         self.inv_sigma = np.empty_like(self.S)
         # spectra: f^ - Lin^ at the iterate, r^, and z^, d^ and S d^ of the last
         # direction (d^ = 0 before the first); (r, z), (r, d) and (d, S d) of it
@@ -190,21 +199,29 @@ class UpdateOperator:
         self._lin_hat, self._r_hat, self._z_hat, self._d_hat, self._sd_hat = spectra
         self._rz = self._rd = self._dsd = 0.0
         self._d, self._work = np.empty((2,) + grid.shape)  # d, and room for phi^3 or phi d^2
-        self.rhs = self._lin_hat
         self.scratch = (self._work, self._r_hat, self._z_hat)
         self.finite = np.empty(grid.shape, bool)
 
     @functools.cached_property
-    def source_symbol(self) -> np.ndarray:
+    def _source_symbol(self) -> np.ndarray:
         """dt / Lambda: how a forcing's spectrum enters f^ (forced runs only)."""
         return self.dt * self.inv_Lambda
+
+    def rhs(self, state: StepState, forcing: Field | None = None) -> np.ndarray:
+        """f^ from ``state`` and ``forcing``, the source sampled at t_k + dt, in the
+        buffer that :meth:`start` opens from; the idle r^ is scratch."""
+        f_hat = np.multiply(self._rhs_symbol, state.phi_curr.spectrum, out=self._lin_hat)
+        f_hat -= np.multiply(state.phi_prev.spectrum, self.dt, out=self._r_hat)
+        if forcing is not None:
+            f_hat += np.multiply(self._source_symbol, forcing.spectrum, out=self._r_hat)
+        return f_hat
 
     def start(self, state: StepState, guess_hat: np.ndarray, f_hat: np.ndarray) -> None:
         """Open a solve of the update from ``state``: 1/sigma from mean phi_k^2, and
         f^ - Lin^ (the residual's linear part) at the field whose spectrum is ``guess_hat``.
 
-        ``f_hat`` may be ``self.rhs`` and ``guess_hat`` the idle d^ buffer.  H^ and
-        S guess^ use the idle z^ and S d^ buffers.
+        ``f_hat`` may be the buffer of :meth:`rhs` and ``guess_hat`` the idle d^
+        buffer.  H^ and S guess^ use the idle z^ and S d^ buffers.
         """
         phi_k = state.phi_curr.values
         sigma = np.add(self.S, 3.0 * self.dt * float(np.vdot(phi_k, phi_k)) / phi_k.size,
@@ -290,25 +307,25 @@ def workspace(plan: SpectralPlan, params: SchemeParams) -> UpdateOperator:
 def solve(
     state: StepState,
     params: SchemeParams,
-    rhs: np.ndarray,
     plan: SpectralPlan,
+    forcing: Field | None = None,
 ) -> tuple[Field, SolveStats]:
     """Minimize the update objective on the mass hyperplane.
 
-    ``rhs`` is the spectrum f^ from :func:`chfd.scheme.assemble_rhs`.  Works
-    in the plan's operator (:func:`workspace`).  Starts from the extrapolation
+    Works in the plan's operator (:func:`workspace`), which forms f^ from the
+    history and ``forcing``, the source sampled at t_k + dt.  Starts from the extrapolation
     2 phi_k - phi_km1, with its spectrum formed from the history's, and stops when
     |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + TOL_REL |P0 f|_2, within
     MAX_ITER iterations.  Raises :class:`SolverError` (carrying the residual
     history) on non-convergence, at a residual that is not finite, or at one
-    whose norm overflows.  The state must be on the plan's
-    grid; f^ carries no grid and is checked by shape only.
+    whose norm overflows.  The state and the forcing must be on the plan's grid.
     """
     _check_same_grid(plan, state.phi_curr)
-    if rhs.shape != plan.Lambda_long.shape:
-        raise ValueError(f"rhs spectrum shape {rhs.shape} does not match the plan's grid")
+    if forcing is not None:
+        _check_same_grid(plan, forcing)
     grid = plan.grid
     op = workspace(plan, params)
+    rhs = op.rhs(state, forcing)
     f_sq = _inner(grid, rhs, rhs)
     f0_sq = f_sq - grid.h**2 / grid.m**2 * abs(rhs[0, 0]) ** 2  # without the zero mode
     tol = _TOL_FLOOR * (1.0 + math.sqrt(f_sq)) + TOL_REL * math.sqrt(max(f0_sq, 0.0))

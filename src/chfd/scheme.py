@@ -18,20 +18,14 @@ critical-point problem  N[phi] = f  on the mass hyperplane, with
     N[phi] = (-lap4)^{-1}(3/2 phi - 2 phi_k + 1/2 phi_km1)
              + dt phi^3 - dt (A dt + eps^2) lap4 phi
 
-and f, whose spectrum :func:`assemble_rhs` returns.  N is the gradient of a
-strictly convex objective; :mod:`chfd.psd` holds N in Fourier form and
-minimizes the objective by exact line searches, without evaluating it.
-
-lap4 is diagonal in the discrete Fourier basis with symbol -Lambda
-(:mod:`chfd.spectral`), and the stepper applies it only that way.  The
-right-hand side is kept as its spectrum
-
-    f^ = A dt^2 Lambda phi_k^ + 2 dt phi_k^ - dt phi_km1^ + dt S^ / Lambda,
-
-built from the history fields' cached spectra (``Field.spectrum``), with
-1/Lambda set to 0 at the zero mode.  A forcing S is a callback the caller
-supplies (``Source``); the forced reference problem and its forcings live in
-:mod:`chfd.verification`.
+and a right-hand side f of the history and S, whose spectrum is written out
+and formed in :mod:`chfd.psd`.  N is the gradient of a strictly convex
+objective; :mod:`chfd.psd` holds N in Fourier form and minimizes the
+objective by exact line searches, without evaluating it.  lap4 has the
+symbol -Lambda (:mod:`chfd.spectral`), and the stepper applies it only that
+way.  The stepper samples the forcing S, a callback the caller supplies
+(``Source``), and checks the solve's result; the forced reference problem
+and its forcings live in :mod:`chfd.verification`.
 """
 from __future__ import annotations
 
@@ -166,27 +160,16 @@ def assemble_rhs(
     params: SchemeParams,
     plan: SpectralPlan,
     source: Source | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Spectrum f^ (rfft layout) of the right-hand side of N[phi] = f.
+    """Spectrum f^ (rfft layout) of the right-hand side of N[phi] = f, a new array.
 
-    f = 2 dt phi_k - dt phi_km1 - A dt^2 lap4 phi_k, plus
-    dt * (-lap4)^{-1} S(t_{k+1}) when a source is present (the whole update
-    equation is mapped through the negative inverse Laplacian, so the source
-    enters through it as well).  The history enters through its cached
-    spectra; a source adds one transform.  The symbols and the scratch come
-    from the plan's solver workspace (:func:`chfd.psd.workspace`); f^ goes to
-    ``out``, or to a new array.
+    What :func:`chfd.psd.solve` forms (:meth:`chfd.psd.UpdateOperator.rhs`),
+    with the source sampled at t_k + dt, from an operator of its own, so the
+    plan's workspace is untouched.
     """
     _check_same_grid(plan, state.phi_curr)
-    ws = _psd.workspace(plan, params)
-    tmp = ws.scratch[1]
-    f_hat = np.multiply(ws.rhs_symbol, state.phi_curr.spectrum, out=out)
-    f_hat -= np.multiply(state.phi_prev.spectrum, params.dt, out=tmp)
-    if source is not None:
-        s_hat = sample_source(source, plan.grid, state.t + params.dt).spectrum
-        f_hat += np.multiply(ws.source_symbol, s_hat, out=tmp)
-    return f_hat
+    forcing = None if source is None else sample_source(source, plan.grid, state.t + params.dt)
+    return _psd.UpdateOperator(plan, params).rhs(state, forcing).copy()
 
 
 def step(
@@ -197,14 +180,15 @@ def step(
 ) -> tuple[StepState, StepDiagnostics]:
     """Advance one time step; returns the new state and its diagnostics.
 
-    Past the plan's first solve, the only arrays a step allocates are the new
-    field and its spectrum: the right-hand side and the diagnostics work in the
-    buffers of the plan's solver workspace (:func:`chfd.psd.workspace`).
+    Past the plan's first solve, the only arrays an unforced step allocates are
+    the new field and its spectrum: the solve forms f^ in the plan's solver
+    workspace (:func:`chfd.psd.workspace`), and the diagnostics borrow its
+    ``scratch`` and ``finite`` buffers.
     """
-    ws = _psd.workspace(plan, params)
-    rhs = assemble_rhs(state, params, plan, source, out=ws.rhs)
+    forcing = None if source is None else sample_source(source, plan.grid, state.t + params.dt)
     # through the module attribute, so a wrapper patched onto chfd.psd.solve runs
-    phi_new, stats = _psd.solve(state, params, rhs, plan)
+    phi_new, stats = _psd.solve(state, params, plan, forcing)
+    ws = _psd.workspace(plan, params)
     if not np.isfinite(phi_new.values, out=ws.finite).all():
         raise NonFiniteStateError(f"non-finite field after step {state.step_index + 1}")
     new_mass = mean(phi_new)

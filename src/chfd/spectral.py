@@ -12,7 +12,7 @@ and the five-point (fourth-order) one
 ``Lambda_long`` collects the negated eigenvalues of the long-stencil
 Laplacian (sum over axes), which are nonnegative and vanish only at the zero
 mode; that makes the Laplacian invertible on mean-zero data and provides the
-discrete H^{-1} inner product used by the time stepping.
+discrete H^{-1} inner product used by the time stepping.  Column 0 is -lambda_long.
 
 Transforms use the numpy real-to-complex path, normalization 1/m^2 on the
 inverse, called as the two one-dimensional passes that ``np.fft.rfft2`` and
@@ -42,7 +42,6 @@ class SpectralPlan:
     """Precomputed symbol tables for one grid (rfft layout arrays)."""
 
     grid: GridSpec
-    lambda_long: np.ndarray  # (m,) per-axis symbols, FFT frequency order
     Lambda_long: np.ndarray  # -(sum of per-axis lambda_long); (m, m//2+1)
     inv_Lambda: np.ndarray  # 1/Lambda_long with the zero mode set to 0
     # the solve's workspace on this grid, {SchemeParams: chfd.psd.UpdateOperator},
@@ -64,7 +63,7 @@ def make_plan(grid: GridSpec) -> SpectralPlan:
     Lam[0, 0] = 0.0
     inv = np.zeros_like(Lam)
     np.divide(1.0, Lam, out=inv, where=Lam > 0)
-    return SpectralPlan(grid, lam_long, Lam, inv)
+    return SpectralPlan(grid, Lam, inv)
 
 
 def _inner(g: GridSpec, a: np.ndarray, b: np.ndarray) -> float:

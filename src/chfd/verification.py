@@ -250,7 +250,7 @@ def symbol_bound_study(L: float, m_list: Sequence[int]) -> SymbolBoundReport:
         plan = make_plan(grid)
         k = np.arange(1, m // 2 + 1)
         k_phys_sq = (2.0 * np.pi * k / L) ** 2
-        defect = plan.lambda_long[k] + k_phys_sq
+        defect = k_phys_sq - plan.Lambda_long[k, 0]  # Lambda_long[k, 0] = -lambda_long(k)
         ratio = defect / (grid.h**4 * k_phys_sq**3)
         rows.append((m, float(np.max(ratio)), float(np.min(defect))))
     return SymbolBoundReport(L=L, rows=rows)

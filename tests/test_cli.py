@@ -50,6 +50,8 @@ def test_splitmix64_matches_scalar_oracle():
     # disjoint slices of one stream stitch together
     tail = splitmix64(12345, 5, start=3)
     assert [int(v) for v in tail] == scalar_splitmix64(12345, 5, start=3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        splitmix64(12345, -1)
 
 
 def test_unit_floats_are_top_53_bits():
@@ -214,6 +216,10 @@ def test_defaults_are_filled_in():
     assert cfg.initial.amplitude == 0.1
     assert cfg.output.energy_every == 1
     assert cfg.output.formats == ("chf",)
+    # a section written as YAML null ("physics:" with no value) takes the defaults
+    bare = parse_config(yaml.safe_load(
+        "grid: {m: 16}\nphysics:\nschedule: [{dt: 0.01, t_end: 0.05}]\n"))
+    assert (bare.eps, bare.A) == (0.05, 1 / 16)
 
 
 @pytest.mark.parametrize(
@@ -436,6 +442,28 @@ def test_run_resumes_from_snapshot(tmp_path):
     assert result.records[0].mass == pytest.approx(mean(phi))
     assert result.snapshots == [0.02, pytest.approx(0.04)]
     assert read_snapshot(tmp_path / "resume" / "snap_001.chf")[1] == result.snapshots[1]
+
+
+@pytest.mark.parametrize("t0, n_steps", [(2.0, 50), (1.0, 100)])
+def test_warm_start_at_or_past_the_end_of_a_segment(tmp_path, t0, n_steps):
+    """How a long run resumes from a late snapshot: segments that end by the
+    snapshot's time are skipped, and the steps are counted from that time."""
+    grid = GridSpec(L=3.2, m=16)
+    warm = tmp_path / "warm.chf"
+    write_snapshot(random_initial_field(grid, 0.0, 0.1, seed=11), warm, t=t0)
+    data = base_config(initial={"kind": "file", "path": str(warm)},
+                       schedule=[{"dt": 0.01, "t_end": 1.0}, {"dt": 0.02, "t_end": 3.0}],
+                       output={"dir": str(tmp_path / "late")})
+    config = parse_config(data)
+    assert chfd.cli._step_plan(config.schedule, t0, ()) == ([(0.02, n_steps)], [])
+    result = run_simulation(config)
+    assert result.state.step_index == n_steps
+    assert result.state.t == pytest.approx(3.0)
+    rows = [row.split(",") for row in
+            (tmp_path / "late" / "energy.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(n_steps + 1))
+    assert float(rows[0][1]) == t0
+    assert float(rows[1][1]) == pytest.approx(t0 + 0.02)
 
 
 def test_steps_are_numbered_through_a_dt_change(tmp_path):

@@ -120,7 +120,7 @@ def assert_operator_matches_oracles(grid, plan, params, state, rhs):
 
 
 def assert_solve_matches_oracle_psd(grid, plan, params, state, rhs):
-    phi, stats = solve(state, params, rhs, plan)
+    phi, stats = solve(state, params, plan)
     phi_oracle, iterations = oracle_psd(state, params, rhs, plan)
     assert stats.iterations == iterations
     assert np.max(np.abs(phi.values - phi_oracle)) <= 1e-12
@@ -146,7 +146,7 @@ def test_odd_grids_match_the_oracles(m, monkeypatch):
 
 def test_solve_matches_paper_method_in_fewer_iterations(problem):
     grid, plan, params, state, rhs = problem
-    phi, stats = solve(state, params, rhs, plan)
+    phi, stats = solve(state, params, plan)
     phi_ref, ref_iterations = reference_psd(state, params, rhs, plan)
     assert rel_gap(phi.values, phi_ref) <= 1e-9
     assert stats.iterations < ref_iterations
@@ -157,7 +157,7 @@ def test_an_iteration_takes_one_transform_each_way(problem, fft_calls):
     Then each residual is one forward transform (rfft over axis 1, fft over 0) and
     each direction one inverse transform (ifft over axis 0, irfft over 1)."""
     grid, plan, params, state, rhs = problem
-    _, stats = solve(state, params, rhs, plan)
+    _, stats = solve(state, params, plan)
     n = stats.iterations
     assert n > 3
     forward = n + 1
@@ -215,6 +215,18 @@ def test_cubic_root_falls_back_to_bisection():
     alpha = q.root()
     assert 0.0 < alpha <= -4.0 * q.c0 / q.c1
     assert abs(q(alpha)) <= 1e-12 * abs(q.c0) + 1e-30
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_cubic_root_far_inside_minus_c0_over_c1(sign):
+    """With c1 tiny, -c0/c1 = 4.9e36 lies far past the root at 6.19: the bracket
+    ends at the bound cbrt(4|c0|/c3), and Newton starts inside it.  The mirrored
+    cubic, with c0 and c2 negated, has the root at -6.19."""
+    q = LineSearchCubic(c0=-1233793985.3537195 * sign, c1=2.5214496627558908e-28,
+                        c2=-5.296225977527366e-11 * sign, c3=5202884.904402137)
+    alpha = q.root()
+    assert alpha == pytest.approx(sign * 6.18965073, rel=1e-8)
+    assert abs(q(alpha)) <= 1e-12 * abs(q.c0)
 
 
 def test_cubic_requires_positive_slope():
@@ -304,7 +316,7 @@ def test_solver_at_equilibrium_returns_immediately():
     params = SchemeParams(eps=0.1, dt=0.02)
     state = restart_flat(full(grid, -1.0))
     rhs = assemble_rhs(state, params, plan)
-    phi, stats = solve(state, params, rhs, plan)
+    phi, stats = solve(state, params, plan)
     assert stats.iterations == 0
     assert len(stats.residuals) == 1
     assert np.allclose(phi.values, -1.0, atol=1e-13)
@@ -313,7 +325,7 @@ def test_solver_at_equilibrium_returns_immediately():
 def test_solver_reaches_tolerance_and_reports_true_residual(problem, monkeypatch):
     grid, plan, params, state, rhs = problem
     monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-11)
-    phi, stats = solve(state, params, rhs, plan)
+    phi, stats = solve(state, params, plan)
     # returned phi is on the mass hyperplane
     assert mean(phi) == pytest.approx(state.beta0, abs=1e-13)
     # the solver's residual equals the oracle's at the solution, up to the
@@ -333,7 +345,7 @@ def test_solver_reaches_tolerance_and_reports_true_residual(problem, monkeypatch
 
 def test_objective_decreases_monotonically(problem):
     grid, plan, params, state, rhs = problem
-    phi, stats = solve(state, params, rhs, plan)
+    phi, stats = solve(state, params, plan)
     F = stats.objectives
     assert len(F) == stats.iterations + 1
     assert all(b <= a for a, b in zip(F, F[1:]))
@@ -347,7 +359,7 @@ def test_objective_decreases_monotonically(problem):
 
 def test_residuals_decay_geometrically(problem):
     grid, plan, params, state, rhs = problem
-    _, stats = solve(state, params, rhs, plan)
+    _, stats = solve(state, params, plan)
     ratios = stats.residual_ratios
     assert len(ratios) == stats.iterations
     assert all(rt < 1.0 for rt in ratios)
@@ -391,7 +403,7 @@ def one_iteration(monkeypatch):
 def test_iteration_budget_exhaustion_raises(problem, one_iteration):
     grid, plan, params, state, rhs = problem
     with pytest.raises(SolverError) as err:
-        solve(state, params, rhs, plan)
+        solve(state, params, plan)
     assert len(err.value.residuals) == 2
     assert err.value.residuals[-1] > 0.0
 
@@ -400,7 +412,7 @@ def test_solver_error_names_step_time_and_residuals(problem, one_iteration):
     grid, plan, params, state, rhs = problem
     later = StepState(state.phi_prev, state.phi_curr, t=0.37, beta0=state.beta0, step_index=36)
     with pytest.raises(SolverError) as err:
-        solve(later, params, rhs, plan)
+        solve(later, params, plan)
     message = str(err.value)
     assert "step 37 " in message and "t=0.37" in message and "dt=0.01" in message
     for res in err.value.residuals:
@@ -412,7 +424,7 @@ def test_a_residual_that_is_not_finite_raises_solver_error(problem):
     grid, plan, params, state, rhs = problem
     huge = restart_flat(Field(grid, 1e120 * state.phi_curr.values))
     with np.errstate(all="ignore"), pytest.raises(SolverError) as err:
-        solve(huge, params, assemble_rhs(huge, params, plan), plan)
+        solve(huge, params, plan)
     assert "step 1 (t=0, dt=0.01): residual not finite at iteration 0" in str(err.value)
     assert len(err.value.residuals) == 1
 
@@ -422,12 +434,12 @@ def test_state_on_another_grid_rejected(problem):
     grid, plan, params, state, rhs = problem
     wide = make_plan(GridSpec(L=2.0 * grid.L, m=grid.m))
     with pytest.raises(GridMismatchError):
-        solve(state, params, rhs, wide)
+        solve(state, params, wide)
 
 
-def test_rhs_grid_mismatch_rejected(problem):
+def test_forcing_on_another_grid_rejected(problem):
+    """A forcing with the plan's m but another L has the state's shape."""
     grid, plan, params, state, rhs = problem
-    other = GridSpec(L=3.2, m=16)
-    bad = Field(other, np.zeros(other.shape)).spectrum
-    with pytest.raises(ValueError, match="rhs spectrum shape"):
-        solve(state, params, bad, plan)
+    wide = GridSpec(L=2.0 * grid.L, m=grid.m)
+    with pytest.raises(GridMismatchError):
+        solve(state, params, plan, Field(wide, np.zeros(wide.shape)))

@@ -33,7 +33,8 @@ def test_symbol_tables_match_formulas():
     plan = make_plan(grid)
     k = np.fft.fftfreq(32, d=1.0 / 32)
     lam_std = -4.0 * np.sin(np.pi * k / 32) ** 2 / grid.h**2
-    assert np.allclose(plan.lambda_long, lam_std - grid.h**2 / 12 * lam_std**2,
+    # column 0 pairs each mode with the zero mode, whose symbol vanishes
+    assert np.allclose(-plan.Lambda_long[:, 0], lam_std - grid.h**2 / 12 * lam_std**2,
                        rtol=1e-14, atol=1e-12)
     # the 2-D symbol is minus the sum of the per-axis ones: nonnegative,
     # zero exactly at the zero mode

@@ -7,6 +7,7 @@ import chfd.verification
 from chfd import GridSpec, mean, norm_linf
 from chfd.verification import (
     TRUNCATION_CASES,
+    RefinementReport,
     convergence_study,
     inequality_study,
     random_trig_field,
@@ -35,6 +36,9 @@ def test_truncation_study_input_validation():
         truncation_study("no_such_case")
     with pytest.raises(ValueError):
         truncation_study("sin_x", m_list=(32,))
+    one_row = RefinementReport({}, truncation_study("sin_x", m_list=(16, 32), L=1.0).rows[:1])
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        one_row.regression_slopes()
 
 
 def test_truncation_errors_shrink_monotonically():
