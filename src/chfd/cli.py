@@ -275,7 +275,9 @@ def parse_config(data: dict) -> RunConfig:
             f"initial.kind {kind} does not use the key(s) {', '.join(sorted(stray))}"
         )
     amplitude = _number(init_sec, "initial", "amplitude", 0.1, sign="nonnegative")
-    seed = _integer(init_sec, "initial", "seed", 0)
+    seed = _integer(init_sec, "initial", "seed", 0, minimum=0)
+    if seed >= 2**64:  # the generator would read it mod 2**64, as another seed
+        raise ConfigError(f"'initial.seed' must be below 2**64, got {seed!r}")
     path = init_sec.get("path")
     if kind == "file" and not isinstance(path, str):
         raise ConfigError("'initial.path' is required when initial.kind is file")
@@ -396,11 +398,12 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
     """Advance through the whole schedule; returns records and final state.
 
     Writes (when ``write_outputs``): ``energy.csv`` streamed row by row, the
-    requested snapshots, and a ``run.yaml`` echo of the effective config. The
-    energy CSV always contains the initial row, every ``energy_every``-th
-    step, and the final step; the returned records and solve stats are those
-    rows, with or without ``write_outputs``, so a run holds no more history
-    than the CSV.  Every segment and snapshot time must sit on the
+    requested snapshots, and a ``run.yaml`` echo of the effective config; an
+    output file it cannot write is a ConfigError, after the rows already in
+    ``energy.csv``.  The energy CSV always contains the initial row, every
+    ``energy_every``-th step, and the final step; the returned records and
+    solve stats are those rows, with or without ``write_outputs``, so a run
+    holds no more history than the CSV.  Every segment and snapshot time must sit on the
     step lattice from the initial time (ConfigError otherwise), so a snapshot
     is taken at exactly the step time it names.  Steps are numbered from the
     initial time through the whole run, across changes of dt.  Every history
@@ -429,14 +432,11 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
 
     try:
         if write_outputs:
-            try:
-                out_dir.mkdir(parents=True, exist_ok=True)
-                with open(out_dir / "run.yaml", "w", encoding="utf-8") as fh:
-                    fh.write(f"# chfd {__version__}\n")
-                    yaml.safe_dump(_config_echo(config), fh, sort_keys=True)
-                csv_writer = EnergyCsvWriter(out_dir / "energy.csv")
-            except OSError as exc:
-                raise ConfigError(f"cannot write output directory {out_dir}: {exc}") from exc
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with open(out_dir / "run.yaml", "w", encoding="utf-8") as fh:
+                fh.write(f"# chfd {__version__}\n")
+                yaml.safe_dump(_config_echo(config), fh, sort_keys=True)
+            csv_writer = EnergyCsvWriter(out_dir / "energy.csv")
 
         with np.errstate(over="ignore", invalid="ignore"):
             E0 = energy(state.phi_curr, config.eps, plan)
@@ -470,6 +470,8 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
                     if csv_writer:
                         csv_writer.write(diag.record)
                 take_snapshots(state)
+    except OSError as exc:  # only the output files are written here
+        raise ConfigError(f"cannot write output in {out_dir}: {exc}") from exc
     finally:
         if csv_writer:
             csv_writer.close()
@@ -507,61 +509,61 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create --out directory {out_dir}: {exc}") from exc
     failures: list[str] = []
+    try:  # only --out and the CSVs in it are written here
+        out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.target in ("truncation", "all"):
-        for case in TRUNCATION_CASES:
-            report = truncation_study(case, m_list=(32, 64, 128, 256), L=1.0)
-            (out_dir / f"truncation_{case}.csv").write_text(report.to_csv(), encoding="ascii")
+        if args.target in ("truncation", "all"):
+            for case in TRUNCATION_CASES:
+                report = truncation_study(case, m_list=(32, 64, 128, 256), L=1.0)
+                (out_dir / f"truncation_{case}.csv").write_text(report.to_csv(), encoding="ascii")
+                rates = [r for pair in report.finest_rates(2) for r in pair]
+                line = f"truncation {case}: finest rates " + ", ".join(f"{r:.3f}" for r in rates)
+                if all(3.9 <= r <= 4.1 for r in rates):
+                    print(line + " [ok]")
+                else:
+                    failures.append(line)
+
+        if args.target in ("symbols", "all"):
+            report = symbol_bound_study(L=12.8, m_list=(16, 32, 64, 128, 256, 512))
+            (out_dir / "symbol_bound.csv").write_text(report.to_csv(), encoding="ascii")
+            r512 = report.rows[-1][1]
+            line = (
+                f"symbols: max ratio {report.max_ratio():.6g} vs 2x finest {2 * r512:.6g}, "
+                f"min defect {report.min_defect():.3e}"
+            )
+            if report.max_ratio() <= 2.0 * r512 and report.min_defect() >= 0.0:
+                print(line + " [ok]")
+            else:
+                failures.append(line)
+
+        if args.target in ("inequalities", "all"):
+            for m in (32, 64):
+                grid = GridSpec(L=12.8, m=m)
+                report = inequality_study(grid, n_trials=200, rng_seed=0)
+                (out_dir / f"inequalities_m{m}.csv").write_text(report.to_csv(), encoding="ascii")
+                line = (f"inequalities m={m}: {report.violations} violation(s) in "
+                        f"{report.n_trials} trials")
+                if report.violations == 0:
+                    print(line + " [ok]")
+                else:
+                    failures.append(line)
+
+        if args.target in ("convergence", "all"):
+            report = convergence_study()
+            (out_dir / "convergence.csv").write_text(report.to_csv(), encoding="ascii")
+            for m, level in report.solve_stats.items():
+                iters = [s.iterations for s in level]
+                print(f"m={m}: psd iterations/step mean {sum(iters) / len(iters):.1f}, "
+                      f"max {max(iters)}")
             rates = [r for pair in report.finest_rates(2) for r in pair]
-            line = f"truncation {case}: finest rates " + ", ".join(f"{r:.3f}" for r in rates)
-            if all(3.9 <= r <= 4.1 for r in rates):
+            line = "convergence: finest rates " + ", ".join(f"{r:.3f}" for r in rates)
+            if all(3.8 <= r <= 4.1 for r in rates):
                 print(line + " [ok]")
             else:
                 failures.append(line)
-
-    if args.target in ("symbols", "all"):
-        report = symbol_bound_study(L=12.8, m_list=(16, 32, 64, 128, 256, 512))
-        (out_dir / "symbol_bound.csv").write_text(report.to_csv(), encoding="ascii")
-        r512 = report.rows[-1][1]
-        line = (
-            f"symbols: max ratio {report.max_ratio():.6g} vs 2x finest {2 * r512:.6g}, "
-            f"min defect {report.min_defect():.3e}"
-        )
-        if report.max_ratio() <= 2.0 * r512 and report.min_defect() >= 0.0:
-            print(line + " [ok]")
-        else:
-            failures.append(line)
-
-    if args.target in ("inequalities", "all"):
-        for m in (32, 64):
-            grid = GridSpec(L=12.8, m=m)
-            report = inequality_study(grid, n_trials=200, rng_seed=0)
-            (out_dir / f"inequalities_m{m}.csv").write_text(report.to_csv(), encoding="ascii")
-            line = (f"inequalities m={m}: {report.violations} violation(s) in "
-                    f"{report.n_trials} trials")
-            if report.violations == 0:
-                print(line + " [ok]")
-            else:
-                failures.append(line)
-
-    if args.target in ("convergence", "all"):
-        report = convergence_study()
-        (out_dir / "convergence.csv").write_text(report.to_csv(), encoding="ascii")
-        for m, level in report.solve_stats.items():
-            iters = [s.iterations for s in level]
-            print(f"m={m}: psd iterations/step mean {sum(iters) / len(iters):.1f}, "
-                  f"max {max(iters)}")
-        rates = [r for pair in report.finest_rates(2) for r in pair]
-        line = "convergence: finest rates " + ", ".join(f"{r:.3f}" for r in rates)
-        if all(3.8 <= r <= 4.1 for r in rates):
-            print(line + " [ok]")
-        else:
-            failures.append(line)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the reports in --out {out_dir}: {exc}") from exc
 
     for line in failures:
         print("FAIL " + line, file=sys.stderr)

@@ -25,6 +25,7 @@ from .grid import Field, GridSpec
 __all__ = [
     "SnapshotFormatError",
     "fmt17",
+    "csv_line",
     "write_snapshot",
     "read_snapshot",
     "ENERGY_CSV_HEADER",
@@ -42,6 +43,14 @@ class SnapshotFormatError(ValueError):
 def fmt17(x: float) -> str:
     """Float to text with 17 significant digits (round-trips in IEEE double)."""
     return f"{x:.17g}"
+
+
+def csv_line(values) -> str:
+    """One CSV line with its newline: a string as is, None as an empty cell, and
+    any other value with ``fmt17``, which prints an integer as is."""
+    return ",".join(
+        v if isinstance(v, str) else "" if v is None else fmt17(v) for v in values
+    ) + "\n"
 
 
 def write_snapshot(field: Field, path: str | os.PathLike, t: float, format: str = "chf") -> None:
@@ -122,7 +131,7 @@ def _write_pgm(field: Field, path: str | os.PathLike) -> None:
 
 
 _ENERGY_FIELDS = tuple(f.name for f in dataclasses.fields(EnergyRecord))
-ENERGY_CSV_HEADER = ",".join(_ENERGY_FIELDS)
+ENERGY_CSV_HEADER = csv_line(_ENERGY_FIELDS).rstrip("\n")
 
 
 class EnergyCsvWriter:
@@ -134,12 +143,11 @@ class EnergyCsvWriter:
 
     def __init__(self, path: str | os.PathLike):
         self._fh = open(path, "w", encoding="ascii", newline="\n")
-        self._fh.write(ENERGY_CSV_HEADER + "\n")
+        self._fh.write(csv_line(_ENERGY_FIELDS))
         self._fh.flush()
 
     def write(self, record: EnergyRecord) -> None:
-        """One row: every field with ``fmt17``, which prints an integer as is."""
-        self._fh.write(",".join(fmt17(getattr(record, f)) for f in _ENERGY_FIELDS) + "\n")
+        self._fh.write(csv_line(getattr(record, f) for f in _ENERGY_FIELDS))
         self._fh.flush()
 
     def close(self) -> None:

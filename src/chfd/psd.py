@@ -178,10 +178,10 @@ class UpdateOperator:
     next one reads.  :func:`solve` uses the plan's own operator from
     :func:`workspace`: built on the plan's first solve, replaced when dt
     changes, dropped with the plan, and serving one solve at a time.  Between
-    solves, ``scratch`` (a float array on the grid and two spectra) and
-    ``finite`` (bool, on the grid) are free for a step's diagnostics.  Every
-    operator, the plan's or one a caller builds, has buffers of its own; its
-    methods return views of them, which the next call overwrites.
+    solves, ``scratch`` (a float array on the grid and two spectra) is free
+    for a step's diagnostics.  Every operator, the plan's or one a caller
+    builds, has buffers of its own; its methods return views of them, which
+    the next call overwrites.
     """
 
     def __init__(self, plan: SpectralPlan, params: SchemeParams):
@@ -200,7 +200,6 @@ class UpdateOperator:
         self._rz = self._rd = self._dsd = 0.0
         self._d, self._work = np.empty((2,) + grid.shape)  # d, and room for phi^3 or phi d^2
         self.scratch = (self._work, self._r_hat, self._z_hat)
-        self.finite = np.empty(grid.shape, bool)
 
     @functools.cached_property
     def _source_symbol(self) -> np.ndarray:

@@ -183,20 +183,22 @@ def step(
     Past the plan's first solve, the only arrays an unforced step allocates are
     the new field and its spectrum: the solve forms f^ in the plan's solver
     workspace (:func:`chfd.psd.workspace`), and the diagnostics borrow its
-    ``scratch`` and ``finite`` buffers.
+    ``scratch``.
     """
     forcing = None if source is None else sample_source(source, plan.grid, state.t + params.dt)
     # through the module attribute, so a wrapper patched onto chfd.psd.solve runs
     phi_new, stats = _psd.solve(state, params, plan, forcing)
-    ws = _psd.workspace(plan, params)
-    if not np.isfinite(phi_new.values, out=ws.finite).all():
-        raise NonFiniteStateError(f"non-finite field after step {state.step_index + 1}")
     new_mass = mean(phi_new)
+    # a sum is finite only when every value is; a solve whose field sums past the
+    # float range would have overflowed its residual, the cube of that field, first
+    if not math.isfinite(new_mass):
+        raise NonFiniteStateError(f"non-finite field after step {state.step_index + 1}")
     if abs(new_mass - state.beta0) > _MASS_DRIFT_TOL * (1.0 + abs(state.beta0)):
         raise MassDriftError(
             f"mass drifted to {new_mass!r} (beta0 = {state.beta0!r}) at step {state.step_index + 1}"
         )
     t_new = state.t + params.dt
+    ws = _psd.workspace(plan, params)
     E = energy(phi_new, params.eps, plan, work=ws.scratch)
     record = EnergyRecord(
         step=state.step_index + 1,

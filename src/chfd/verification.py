@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Field, GridSpec, _irfft2, _rfft2, field_from_fn, norm_l2, norm_linf, norm_lp
-from .io import fmt17
+from .io import csv_line
 from .operators import d1_long, grad_norm_sq_long, grad_norm_sq_std, laplace_long, laplace_std
 from .psd import SolveStats
 from .rng import unit_floats
@@ -38,7 +38,6 @@ from .spectral import hminus1_norm, make_plan
 __all__ = [
     "RefinementRow",
     "RefinementReport",
-    "TruncationCase",
     "TRUNCATION_CASES",
     "truncation_study",
     "SymbolBoundReport",
@@ -90,30 +89,18 @@ class RefinementReport:
         return pairs[-n_pairs:]
 
     def to_csv(self) -> str:
-        lines = ["h,error_l2,rate_l2,error_linf,rate_linf"]
-        for r in self.rows:
-            lines.append(
-                f"{fmt17(r.h)},{fmt17(r.error_l2)},"
-                f"{fmt17(r.rate_l2) if r.rate_l2 is not None else ''},"
-                f"{fmt17(r.error_linf)},"
-                f"{fmt17(r.rate_linf) if r.rate_linf is not None else ''}"
-            )
         s2, si = self.regression_slopes()
-        lines.append(f"regression,,{fmt17(s2)},,{fmt17(si)}")
-        return "\n".join(lines) + "\n"
+        return "".join(map(csv_line, [
+            ("h", "error_l2", "rate_l2", "error_linf", "rate_linf"),
+            *((r.h, r.error_l2, r.rate_l2, r.error_linf, r.rate_linf) for r in self.rows),
+            ("regression", None, s2, None, si),
+        ]))
 
 
 def _rows_from_errors(levels: Sequence[tuple[float, float, float]]) -> list[RefinementRow]:
-    rows: list[RefinementRow] = []
-    prev: tuple[float, float] | None = None
-    for h, e2, einf in levels:
-        if prev is None:
-            rows.append(RefinementRow(h, e2, einf, None, None))
-        else:
-            rows.append(
-                RefinementRow(h, e2, einf, math.log2(prev[0] / e2), math.log2(prev[1] / einf))
-            )
-        prev = (e2, einf)
+    rows = [RefinementRow(*levels[0], None, None)]
+    for (_, prev2, previnf), (h, e2, einf) in zip(levels, levels[1:]):
+        rows.append(RefinementRow(h, e2, einf, math.log2(prev2 / e2), math.log2(previnf / einf)))
     return rows
 
 
@@ -121,58 +108,40 @@ def _rows_from_errors(levels: Sequence[tuple[float, float, float]]) -> list[Refi
 # truncation study
 
 
-@dataclass(frozen=True)
-class TruncationCase:
-    """A smooth periodic test function f(x, y) with one analytically-known derivative.
+def _builtin_cases(L: float) -> dict[str, tuple[Callable, Callable, Callable]]:
+    """Each case as (operator, f, exact): a long-stencil operator, a smooth
+    periodic f(x, y) and the operator's analytic value on f.
 
-    ``kind`` selects the operator under test: "laplace" compares
-    ``laplace_long`` against the analytic Laplacian, "d1" compares ``d1_long``
-    along axis 0 against the analytic first derivative.  The one-dimensional
-    cases are constant in y, where every stencil gives exactly 0.
+    The one-dimensional cases are constant in y, where every stencil gives
+    exactly 0; ``d1_long`` differentiates along x.
     """
-
-    name: str
-    kind: str  # "laplace" | "d1"
-    f: Callable[..., np.ndarray]
-    reference: Callable[..., np.ndarray]
-
-
-def _builtin_cases(L: float) -> dict[str, TruncationCase]:
     a = 2.0 * math.pi / L
 
     def sin_x(x, y):
-        return np.sin(a * x) + 0.0 * y
+        return np.sin(a * x)
 
-    cases = {
-        "sin_x": TruncationCase(
-            "sin_x", "laplace", sin_x, lambda x, y: -(a**2) * np.sin(a * x) + 0.0 * y
-        ),
-        "sin_x_d1": TruncationCase(
-            "sin_x_d1", "d1", sin_x, lambda x, y: a * np.cos(a * x) + 0.0 * y
-        ),
-        "mode_product": TruncationCase(
-            "mode_product",
-            "laplace",
+    return {
+        "sin_x": (laplace_long, sin_x, lambda x, y: -(a**2) * np.sin(a * x)),
+        "sin_x_d1": (d1_long, sin_x, lambda x, y: a * np.cos(a * x)),
+        "mode_product": (
+            laplace_long,
             lambda x, y: np.sin(a * x) * np.cos(2 * a * y),
             lambda x, y: -5.0 * a**2 * np.sin(a * x) * np.cos(2 * a * y),
         ),
-        "exp_sin": TruncationCase(
-            "exp_sin",
-            "laplace",
+        "exp_sin": (
+            laplace_long,
             lambda x, y: np.exp(np.sin(a * x)) * np.cos(a * y),
             lambda x, y: a**2
             * (np.cos(a * x) ** 2 - np.sin(a * x) - 1.0)
             * np.exp(np.sin(a * x))
             * np.cos(a * y),
         ),
-        "exp_sin_d1": TruncationCase(
-            "exp_sin_d1",
-            "d1",
-            lambda x, y: np.exp(np.sin(a * x)) + 0.0 * y,
-            lambda x, y: a * np.cos(a * x) * np.exp(np.sin(a * x)) + 0.0 * y,
+        "exp_sin_d1": (
+            d1_long,
+            lambda x, y: np.exp(np.sin(a * x)),
+            lambda x, y: a * np.cos(a * x) * np.exp(np.sin(a * x)),
         ),
     }
-    return cases
 
 
 TRUNCATION_CASES = tuple(_builtin_cases(1.0))
@@ -190,7 +159,7 @@ def truncation_study(
     tau and the halving rates.
     """
     try:
-        case = _builtin_cases(L)[case]
+        op, f, exact = _builtin_cases(L)[case]
     except KeyError:
         raise ValueError(f"unknown truncation case {case!r}; "
                          f"built-ins: {sorted(TRUNCATION_CASES)}") from None
@@ -199,15 +168,10 @@ def truncation_study(
     levels = []
     for m in m_list:
         grid = GridSpec(L=L, m=m)
-        f = field_from_fn(grid, case.f)
-        ref = field_from_fn(grid, case.reference)
-        if case.kind == "laplace":
-            tau = Field(grid, laplace_long(f).values - ref.values)
-        else:
-            tau = Field(grid, d1_long(f, axis=0).values - ref.values)
+        tau = Field(grid, op(field_from_fn(grid, f)).values - field_from_fn(grid, exact).values)
         levels.append((grid.h, norm_l2(tau), norm_linf(tau)))
     return RefinementReport(
-        parameters={"L": L, "kind": case.kind, "m_list": tuple(m_list)},
+        parameters={"L": L, "case": case, "m_list": tuple(m_list)},
         rows=_rows_from_errors(levels),
     )
 
@@ -218,7 +182,6 @@ def truncation_study(
 
 @dataclass
 class SymbolBoundReport:
-    L: float
     rows: list[tuple[int, float, float]]  # (m, R, min_defect)
 
     def max_ratio(self) -> float:
@@ -228,10 +191,7 @@ class SymbolBoundReport:
         return min(d for _, _, d in self.rows)
 
     def to_csv(self) -> str:
-        lines = ["m,ratio_max,defect_min"]
-        for m, r, d in self.rows:
-            lines.append(f"{m},{fmt17(r)},{fmt17(d)}")
-        return "\n".join(lines) + "\n"
+        return "".join(map(csv_line, [("m", "ratio_max", "defect_min"), *self.rows]))
 
 
 def symbol_bound_study(L: float, m_list: Sequence[int]) -> SymbolBoundReport:
@@ -253,7 +213,7 @@ def symbol_bound_study(L: float, m_list: Sequence[int]) -> SymbolBoundReport:
         defect = k_phys_sq - plan.Lambda_long[k, 0]  # Lambda_long[k, 0] = -lambda_long(k)
         ratio = defect / (grid.h**4 * k_phys_sq**3)
         rows.append((m, float(np.max(ratio)), float(np.min(defect))))
-    return SymbolBoundReport(L=L, rows=rows)
+    return SymbolBoundReport(rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +246,6 @@ def random_trig_field(
 
 @dataclass
 class InequalityReport:
-    grid_m: int
     n_trials: int
     # per-trial slacks/ratios, index-aligned
     slack_interpolation: list[float]
@@ -295,13 +254,11 @@ class InequalityReport:
     violations: int
 
     def to_csv(self) -> str:
-        lines = ["trial,slack_interpolation,slack_operator_order,embedding_ratio"]
-        for i in range(self.n_trials):
-            lines.append(
-                f"{i},{fmt17(self.slack_interpolation[i])},"
-                f"{fmt17(self.slack_operator_order[i])},{fmt17(self.embedding_ratio[i])}"
-            )
-        return "\n".join(lines) + "\n"
+        return "".join(map(csv_line, [
+            ("trial", "slack_interpolation", "slack_operator_order", "embedding_ratio"),
+            *zip(range(self.n_trials), self.slack_interpolation, self.slack_operator_order,
+                 self.embedding_ratio),
+        ]))
 
 
 def inequality_study(grid: GridSpec, n_trials: int, rng_seed: int) -> InequalityReport:
@@ -345,7 +302,6 @@ def inequality_study(grid: GridSpec, n_trials: int, rng_seed: int) -> Inequality
 
         ratios.append(norm_lp(f0, 6) / (norm_l2(f0) + math.sqrt(grad_norm_sq_std(f0))))
     return InequalityReport(
-        grid_m=grid.m,
         n_trials=n_trials,
         slack_interpolation=slack_i,
         slack_operator_order=slack_o,

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -267,6 +270,9 @@ def test_defaults_are_filled_in():
         {"physics": {"eps": 10**400}},  # an int too large for a float
         {"output": {"snapshot_times": [10**400]}},
         {"grid": {"m": 10**400}},
+        {"initial": {"seed": -1}},  # the generator reads seeds mod 2**64
+        {"initial": {"seed": 2**64}},
+        {"initial": {"seed": 2**65}},
     ],
 )
 def test_bad_configs_rejected(breakage):
@@ -274,6 +280,11 @@ def test_bad_configs_rejected(breakage):
         parse_config(base_config(**breakage))
     if "solver" in breakage:
         assert "unknown top-level section(s): solver" in str(err.value)
+
+
+def test_every_seed_in_range_is_accepted():
+    for seed in (0, 2**64 - 1):
+        assert parse_config(base_config(initial={"seed": seed})).initial.seed == seed
 
 
 shipped_configs = pytest.mark.parametrize(
@@ -575,6 +586,12 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
     assert main(["verify", "all", "--out", str(taken)]) == 2
+    for seed in (-1, 2**64):
+        bad.write_text(yaml.safe_dump(base_config(initial={"seed": seed})))
+        capsys.readouterr()
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: 'initial.seed' "), err
     # 3: an initial energy that overflows, caught before row 0 and before any step
     overflow = tmp_path / "overflow.yaml"
     overflow.write_text(yaml.safe_dump(base_config(
@@ -640,6 +657,46 @@ def test_run_reports_unusable_files_as_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert str(bad_path) in err
+
+
+def test_a_snapshot_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "snap_000.chf").mkdir(parents=True)
+    config = tmp_path / "c.yaml"
+    config.write_text(yaml.safe_dump(base_config(output={"dir": str(out),
+                                                         "snapshot_times": [0.02]})))
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert str(out / "snap_000.chf") in err
+    # energy.csv keeps the rows written before the snapshot: steps 0 to 2
+    assert len((out / "energy.csv").read_text().splitlines()) == 1 + 3
+
+
+def test_a_report_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "v" / "symbol_bound.csv").mkdir(parents=True)
+    assert main(["verify", "symbols", "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert str(tmp_path / "v" / "symbol_bound.csv") in err
+
+
+def test_python_m_chfd_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(chfd.cli.__file__).parents[1]),
+           "OMP_NUM_THREADS": "1"}
+
+    def chfd_module(*args):
+        return subprocess.run([sys.executable, "-m", "chfd", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    version = chfd_module("--version")
+    assert version.returncode == 0 and version.stdout == f"chfd {chfd.__version__}\n"
+    config = tmp_path / "c.yaml"
+    config.write_text(yaml.safe_dump(base_config(
+        schedule=[{"dt": 0.01, "t_end": 0.02}], output={"dir": str(tmp_path / "o")})))
+    run = chfd_module("run", str(config))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("done: 2 steps to t=0.02;")
 
 
 def test_verify_rejects_bad_options_before_the_studies(tmp_path, capsys, monkeypatch):
@@ -722,6 +779,17 @@ def test_verify_convergence_writes_the_table_and_gates_the_rates(tmp_path, capsy
     assert captured.out.startswith("m=16: psd iterations/step mean ")
     assert "\nm=32: psd iterations/step mean " in captured.out
     assert captured.err.startswith("FAIL convergence: finest rates ")
+
+
+def test_verify_convergence_passes_good_rates(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(chfd.cli, "convergence_study", lambda: fake_report(
+        solve_stats={16: [SimpleNamespace(iterations=3)]},
+        finest_rates=lambda n: [(4.0, 3.95), (3.9, 4.0)]))
+    assert main(["verify", "convergence", "--out", str(tmp_path / "v")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "m=16: psd iterations/step mean 3.0, max 3",
+        "convergence: finest rates 4.000, 3.950, 3.900, 4.000 [ok]",
+    ]
 
 
 def test_verify_reports_a_solver_failure(tmp_path, capsys, monkeypatch):

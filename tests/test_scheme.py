@@ -430,6 +430,8 @@ def test_no_stepper_module_imports_the_stencils():
 
 @pytest.mark.parametrize("corrupt, error", [
     (lambda v: np.where(v > 0.1, np.nan, v), NonFiniteStateError),
+    pytest.param(lambda v: np.where(v > 0.1, np.inf, v), NonFiniteStateError, id="inf"),
+    pytest.param(lambda v: np.where(v > 0.1, -np.inf, v), NonFiniteStateError, id="-inf"),
     (lambda v: v + 1e-6, MassDriftError),
 ])
 def test_step_rejects_a_solve_that_breaks_an_invariant(grid32, monkeypatch, corrupt, error):

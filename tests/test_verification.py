@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chfd.verification
-from chfd import GridSpec, mean, norm_linf
+from chfd import Field, GridSpec, laplace_long, mean, norm_linf
 from chfd.verification import (
     TRUNCATION_CASES,
     RefinementReport,
@@ -132,6 +132,19 @@ def test_inequality_study_has_no_violations():
     lines = report.to_csv().splitlines()
     assert lines[0] == "trial,slack_interpolation,slack_operator_order,embedding_ratio"
     assert len(lines) == 101
+
+
+@pytest.mark.parametrize("broken, violations", [
+    ({"hminus1_norm": lambda plan, f: 0.0}, 3),  # the interpolation bound fails
+    ({"laplace_std": lambda g: laplace_long(Field(g.grid, 2.0 * g.values))}, 3),  # the order
+    ({"hminus1_norm": lambda plan, f: 0.0,
+      "laplace_std": lambda g: laplace_long(Field(g.grid, 2.0 * g.values))}, 6),
+])
+def test_inequality_study_counts_each_violated_bound(monkeypatch, broken, violations):
+    for name, fake in broken.items():
+        monkeypatch.setattr(chfd.verification, name, fake)
+    report = inequality_study(GridSpec(L=12.8, m=16), n_trials=3, rng_seed=0)
+    assert report.violations == violations
 
 
 def test_inequality_study_validation():
