@@ -12,7 +12,10 @@ Two shapes of call:
   steady-state steps.  It also prints the minor page faults that each
   profiled step took (``resource.getrusage`` of this process): a step that
   allocates afresh what the previous one freed takes them where the C
-  allocator has given that memory back to the system.
+  allocator has given that memory back to the system.  A last line before
+  the profile gives the mean PSD iterations per profiled step and the
+  median of the relative tolerances their solves stopped at (each step's
+  own, from its time-error estimate; see ``chfd.psd``).
 
 The script only calls the package; it changes nothing.  cProfile adds a cost
 to every Python-level call and none to the work inside numpy, so it
@@ -30,6 +33,7 @@ import argparse
 import cProfile
 import pstats
 import resource
+import statistics
 import sys
 import time
 
@@ -48,19 +52,25 @@ def profile_converge(profiler: cProfile.Profile) -> str:
     return f"convergence_study((16, 32, 64)): {n} steps"
 
 
-def profile_steps(profiler: cProfile.Profile, m: int, n_steps: int) -> tuple[str, list[int]]:
+def profile_steps(profiler: cProfile.Profile, m: int, n_steps: int) -> tuple[str, list[str]]:
     grid = GridSpec(L=12.8, m=m)
     plan = make_plan(grid)
     params = SchemeParams(eps=0.05, dt=0.01)
     state, _ = step(restart_flat(random_initial_field(grid, 0.0, 0.1, seed=1)), params, plan)
-    faults = []
+    faults, stats = [], []
     profiler.enable()
     for _ in range(n_steps):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        state, _ = step(state, params, plan)
+        state, diag = step(state, params, plan)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        stats.append(diag.solve)
     profiler.disable()
-    return f"{n_steps} steps at m={m}", faults
+    iters = statistics.fmean(s.iterations for s in stats)
+    rel_tol = statistics.median(s.rel_tol for s in stats)
+    return f"{n_steps} steps at m={m}", [
+        " ".join(["minor page faults per step:", *map(str, faults)]),
+        f"psd iterations per step: mean {iters:.2f}; median relative tolerance {rel_tol:.2e}",
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -74,14 +84,14 @@ def main(argv: list[str] | None = None) -> int:
 
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
-    faults = None
+    lines: list[str] = []
     if args.shape == "converge":
         what = profile_converge(profiler)
     else:
-        what, faults = profile_steps(profiler, args.m, args.steps)
+        what, lines = profile_steps(profiler, args.m, args.steps)
     print(f"{what}, {time.perf_counter() - t0:.2f} s under the profiler")
-    if faults is not None:
-        print("minor page faults per step:", *faults)
+    for line in lines:
+        print(line)
     pstats.Stats(profiler, stream=sys.stdout).sort_stats("tottime").print_stats(25)
     return 0
 

@@ -5,8 +5,9 @@ Two subcommands:
 * ``chfd run CONFIG.yaml`` — advance random data or a snapshot through its
   time-step schedule, streaming the energy CSV and writing field snapshots;
   steps are planned once and numbered through the whole run.  The closing
-  summary gives the PSD iterations per step and the energy-decay exponent
-  fitted over the last decade of time.
+  summary gives the PSD iterations per step, the steps that the energy
+  guard solved again (only when there are any), and the energy-decay
+  exponent fitted over the last decade of time.
 * ``chfd verify {truncation,symbols,inequalities,convergence,all}`` — the
   operator-level studies and the refinement study of the forced reference
   problem, each at fixed inputs, writing CSVs to ``--out`` and gating the
@@ -374,6 +375,7 @@ class RunResult:
     state: StepState
     solve_stats: list[SolveStats]  # one per step row of records, records[1:]
     snapshots: list[float]  # step times of the snapshots written
+    resolves: int = 0  # steps of the whole run that the energy guard solved again
 
 
 def _initial_field(config: RunConfig, grid: GridSpec) -> tuple[Field, float]:
@@ -457,12 +459,16 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
         take_snapshots(state)
 
         solve_stats: list[SolveStats] = []
+        resolves = 0
         for dt, n in segments:
-            # a history is kept only within one dt; each segment restarts flat
-            state = dataclasses.replace(state, phi_prev=state.phi_curr)
+            # a history is kept only within one dt; each segment restarts flat,
+            # without a time-error estimate or a modified energy of the old dt
+            state = dataclasses.replace(state, phi_prev=state.phi_curr,
+                                        error_estimate=None, E_mod=None)
             params = SchemeParams(eps=config.eps, dt=dt, A=config.A)
             for _ in range(n):
                 state, diag = step(state, params, plan)
+                resolves += diag.solve.resolves
                 k = state.step_index
                 if k % config.output.energy_every == 0 or k == last_step:
                     solve_stats.append(diag.solve)
@@ -477,7 +483,7 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
             csv_writer.close()
 
     return RunResult(records=records, state=state, solve_stats=solve_stats,
-                     snapshots=taken_snaps)
+                     snapshots=taken_snaps, resolves=resolves)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +502,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     iters = [s.iterations for s in result.solve_stats]
     print(f"psd iterations/step over the {len(iters)} energy.csv steps: "
           f"mean {sum(iters) / len(iters):.1f}, max {max(iters)}")
+    if result.resolves:
+        print(f"energy guard: {result.resolves} step(s) raised E_mod at a loosened "
+              f"tolerance and were solved again at the tightest")
     # the coarsening law E ~ t^-b, fitted over the run's last decade of time;
     # the summed step times miss its ends by rounding
     t_end = config.schedule[-1].t_end

@@ -29,6 +29,7 @@ and its forcings live in :mod:`chfd.verification`.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ import numpy as np
 from . import psd as _psd
 from .diagnostics import EnergyRecord, energy, modified_energy
 from .grid import Field, GridSpec, _check_same_grid, field_from_fn, mean
-from .spectral import SpectralPlan, laplace_long_spectral, make_plan
+from .spectral import SpectralPlan, _inner, laplace_long_spectral, make_plan
 
 __all__ = [
     "SchemeParams",
@@ -57,6 +58,10 @@ __all__ = [
 
 # mean-conservation guardrail (relative to 1 + |beta0|)
 _MASS_DRIFT_TOL = 1e-11
+# largest rise of the modified energy, relative to it, that a step solved at a
+# loosened tolerance may make before it is solved again at TOL_REL: acceptance
+# criterion 5's margin
+_EMOD_RISE_TOL = 1e-10
 
 
 class NonFiniteStateError(RuntimeError):
@@ -93,13 +98,22 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class StepState:
-    """Two-field history (phi at the current and previous step) plus bookkeeping."""
+    """Two-field history (phi at the current and previous step) plus bookkeeping.
+
+    ``error_estimate`` is eta, the estimate of the last step's relative time
+    error that sets the next solve's tolerance (:mod:`chfd.psd`), and ``E_mod``
+    that step's modified energy, which the energy guard of :func:`step`
+    compares with.  Both are None, "no estimate", for a history that starts or
+    restarts flat; :func:`step` sets them.
+    """
 
     phi_prev: Field
     phi_curr: Field
     t: float
     beta0: float
     step_index: int = 0
+    error_estimate: float | None = None
+    E_mod: float | None = None
 
 
 Source = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
@@ -150,7 +164,9 @@ def restart_flat(phi0: Field, t: float = 0.0) -> StepState:
     update moves phi about 2/3 of a BDF2 step, an O(dt) error made once.
 
     Both entries are phi0 itself, as ``step`` shares fields between
-    consecutive states: the stepper never writes into a field.
+    consecutive states: the stepper never writes into a field.  ``step``
+    knows a flat history by that identity and forms no time-error estimate
+    from it, so the first two updates solve at ``chfd.psd.TOL_REL``.
     """
     return StepState(phi_prev=phi0, phi_curr=phi0, t=t, beta0=mean(phi0))
 
@@ -172,6 +188,21 @@ def assemble_rhs(
     return _psd.UpdateOperator(plan, params).rhs(state, forcing).copy()
 
 
+def _error_estimate(phi_new: Field, state: StepState, dt: float, work: np.ndarray) -> float | None:
+    """eta = dt |phi_new - (2 phi_k - phi_km1)|_2 / |phi_new - beta0|_2, the defect
+    formed in ``work`` and the spread read from the new field's spectrum without
+    its zero mode; None after a flat history, whose extrapolation is phi_k itself."""
+    if state.phi_prev is state.phi_curr:
+        return None
+    w = np.multiply(state.phi_curr.values, -2.0, out=work)
+    w += state.phi_prev.values
+    w += phi_new.values
+    defect_sq = phi_new.grid.h**2 * float(np.vdot(w, w))
+    spec, grid = phi_new.spectrum, phi_new.grid
+    spread_sq = _inner(grid, spec, spec) - grid.h**2 / grid.m**2 * abs(spec[0, 0]) ** 2
+    return dt * math.sqrt(defect_sq / spread_sq) if spread_sq > 0.0 else 0.0
+
+
 def step(
     state: StepState,
     params: SchemeParams,
@@ -180,32 +211,51 @@ def step(
 ) -> tuple[StepState, StepDiagnostics]:
     """Advance one time step; returns the new state and its diagnostics.
 
-    Past the plan's first solve, the only arrays an unforced step allocates are
-    the new field and its spectrum: the solve forms f^ in the plan's solver
-    workspace (:func:`chfd.psd.workspace`), and the diagnostics borrow its
-    ``scratch``.
+    The solve stops at the tolerance that ``state.error_estimate`` sets
+    (:mod:`chfd.psd`).  The energy guard: if that is looser than
+    ``chfd.psd.TOL_REL``, the step is unforced, and the new field's modified
+    energy exceeds ``state.E_mod`` by more than 1e-10 of it, the update is
+    solved again at TOL_REL (``SolveStats.resolves`` = 1).
+    Past the plan's first solve, the only arrays such a step allocates are the
+    new field and its spectrum: the solve forms f^ in the plan's solver
+    workspace (:func:`chfd.psd.workspace`), and the diagnostics and the new
+    state's time-error estimate borrow its ``scratch``.
     """
     forcing = None if source is None else sample_source(source, plan.grid, state.t + params.dt)
-    # through the module attribute, so a wrapper patched onto chfd.psd.solve runs
-    phi_new, stats = _psd.solve(state, params, plan, forcing)
-    new_mass = mean(phi_new)
-    # a sum is finite only when every value is; a solve whose field sums past the
-    # float range would have overflowed its residual, the cube of that field, first
-    if not math.isfinite(new_mass):
-        raise NonFiniteStateError(f"non-finite field after step {state.step_index + 1}")
-    if abs(new_mass - state.beta0) > _MASS_DRIFT_TOL * (1.0 + abs(state.beta0)):
-        raise MassDriftError(
-            f"mass drifted to {new_mass!r} (beta0 = {state.beta0!r}) at step {state.step_index + 1}"
-        )
+    work = _psd.workspace(plan, params).scratch
+
+    def solved(history: StepState) -> tuple[Field, _psd.SolveStats, float, float, float]:
+        """The update from ``history``, checked: field, stats, mass, E and E_mod."""
+        # through the module attribute, so a wrapper patched onto chfd.psd.solve runs
+        phi, stats = _psd.solve(history, params, plan, forcing)
+        new_mass = mean(phi)
+        # a sum is finite only when every value is; a solve whose field sums past the
+        # float range would have overflowed its residual, the cube of that field, first
+        if not math.isfinite(new_mass):
+            raise NonFiniteStateError(f"non-finite field after step {state.step_index + 1}")
+        if abs(new_mass - state.beta0) > _MASS_DRIFT_TOL * (1.0 + abs(state.beta0)):
+            raise MassDriftError(
+                f"mass drifted to {new_mass!r} (beta0 = {state.beta0!r}) "
+                f"at step {state.step_index + 1}"
+            )
+        E = energy(phi, params.eps, plan, work=work)
+        E_mod = modified_energy(phi, state.phi_curr, params.dt, plan, E=E, work=work)
+        return phi, stats, new_mass, E, E_mod
+
+    phi_new, stats, new_mass, E, E_mod = solved(state)
+    # the energy law holds without a forcing only
+    if (stats.rel_tol > _psd.TOL_REL and forcing is None and state.E_mod is not None
+            and E_mod - state.E_mod > _EMOD_RISE_TOL * abs(state.E_mod)):
+        phi_new, stats, new_mass, E, E_mod = solved(
+            dataclasses.replace(state, error_estimate=None))
+        stats.resolves = 1
     t_new = state.t + params.dt
-    ws = _psd.workspace(plan, params)
-    E = energy(phi_new, params.eps, plan, work=ws.scratch)
     record = EnergyRecord(
         step=state.step_index + 1,
         t=t_new,
         mass=new_mass,
         E=E,
-        E_mod=modified_energy(phi_new, state.phi_curr, params.dt, plan, E=E, work=ws.scratch),
+        E_mod=E_mod,
         psd_iters=stats.iterations,
         residual=stats.residuals[-1],
     )
@@ -215,5 +265,7 @@ def step(
         t=t_new,
         beta0=state.beta0,
         step_index=state.step_index + 1,
+        error_estimate=_error_estimate(phi_new, state, params.dt, work[0]),
+        E_mod=E_mod,
     )
     return new_state, StepDiagnostics(record=record, solve=stats)

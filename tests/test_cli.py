@@ -508,6 +508,68 @@ def test_history_spectra_stay_those_of_the_values(tmp_path):
         assert np.array_equal(field.spectrum, np.fft.rfft2(field.values))
 
 
+@pytest.mark.parametrize("schedule", [
+    [{"dt": 0.01, "t_end": 0.02}],
+    [{"dt": 0.01, "t_end": 0.02}, {"dt": 0.02, "t_end": 0.06}],
+], ids=["resumed", "dt-switch"])
+def test_flat_histories_solve_their_first_two_steps_at_tol_rel(tmp_path, monkeypatch, schedule):
+    """A warm start and a dt switch restart the history flat, without a time-error
+    estimate: each one's first two steps stop at TOL_REL, so energy.csv is the
+    bytes of a run that never loosens a solve (KAPPA = 0).  The start is the
+    benchmark's resumed full run at m = 32: a uniform mixture of amplitude 0.1
+    with the physics of configs/spinodal_full.yaml."""
+    full = yaml.safe_load((Path(__file__).parents[1] / "configs" / "spinodal_full.yaml").read_text())
+    grid = GridSpec(L=full["domain"]["L"], m=32)
+    phi = np.random.default_rng(1).uniform(-0.1, 0.1, size=grid.shape)
+    write_snapshot(Field(grid, phi), tmp_path / "warm.chf", t=0.0)
+
+    def run(tag, segments=schedule):
+        data = {"domain": full["domain"], "grid": {"m": 32}, "physics": full["physics"],
+                "schedule": segments,
+                "initial": {"kind": "file", "path": str(tmp_path / "warm.chf")},
+                "output": {"dir": str(tmp_path / tag), "energy_every": 1}}
+        result = run_simulation(parse_config(data))
+        return result, (tmp_path / tag / "energy.csv").read_bytes()
+
+    result, ruled = run("rule")
+    assert [s.rel_tol for s in result.solve_stats] == [chfd.psd.TOL_REL] * (2 * len(schedule))
+    monkeypatch.setattr(chfd.psd, "KAPPA", 0.0)
+    assert run("exact")[1] == ruled
+    # the third step of a history has an estimate and loosens its solve
+    monkeypatch.undo()
+    last = schedule[-1]
+    longer = schedule[:-1] + [{"dt": last["dt"], "t_end": last["t_end"] + last["dt"]}]
+    assert run("third", longer)[0].solve_stats[-1].rel_tol > chfd.psd.TOL_REL
+
+
+def test_the_energy_guard_solves_a_loosened_step_again(tmp_path, monkeypatch, capsys):
+    """A fast-decaying mode overshoots its extrapolated guess.  With KAPPA so large
+    that a solve with an estimate stops at that guess, the guard solves every
+    step whose E_mod rose again at TOL_REL; E_mod then never rises, and the run
+    summary counts the re-solved steps."""
+    grid = GridSpec(L=3.2, m=16)
+    phi = field_from_fn(grid, lambda x, y: 0.1 * np.sin(4 * np.pi * x / grid.L)
+                        * np.cos(2 * np.pi * y / grid.L))
+    write_snapshot(phi, tmp_path / "mode.chf", t=0.0)
+    cfg = tmp_path / "mode.yaml"
+    cfg.write_text(yaml.safe_dump(base_config(
+        physics={"eps": 0.3}, schedule=[{"dt": 0.1, "t_end": 2.0}],
+        initial={"kind": "file", "path": str(tmp_path / "mode.chf")},
+        output={"dir": str(tmp_path / "out")})))
+    monkeypatch.setattr(chfd.psd, "KAPPA", 1e12)
+    result = run_simulation(load_config(cfg), write_outputs=False)
+    resolved = [s for s in result.solve_stats if s.resolves]
+    assert result.resolves == len(resolved) >= 3
+    assert all(s.resolves == 1 and s.rel_tol == chfd.psd.TOL_REL for s in resolved)
+    assert any(s.rel_tol > 1.0 for s in result.solve_stats)  # loosened solves that stood
+    e_mod = np.array([r.E_mod for r in result.records])
+    assert np.all(np.diff(e_mod) <= 1e-10 * np.abs(e_mod[:-1]))
+    assert main(["run", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == (f"energy guard: {result.resolves} step(s) raised E_mod at a loosened "
+                        f"tolerance and were solved again at the tightest")
+
+
 def test_run_result_keeps_the_energy_csv_rows_only(tmp_path):
     data = base_config(schedule=[{"dt": 0.01, "t_end": 0.12}],
                        output={"dir": str(tmp_path / "every5"), "energy_every": 5})

@@ -16,6 +16,8 @@ def test_profile_step_profiles_steady_state_steps():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    header, faults = proc.stdout.splitlines()[:2]
+    header, faults, solves = proc.stdout.splitlines()[:3]
     assert header.startswith("2 steps at m=16, "), proc.stdout
     assert faults.startswith("minor page faults per step: ") and len(faults.split()) == 7
+    assert solves.startswith("psd iterations per step: mean "), proc.stdout
+    assert "; median relative tolerance " in solves

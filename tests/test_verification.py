@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chfd.psd
 import chfd.verification
 from chfd import Field, GridSpec, laplace_long, mean, norm_linf
 from chfd.verification import (
@@ -167,6 +168,22 @@ def test_convergence_study_two_levels():
     steps_16 = len(report.solve_stats[16])
     assert steps_16 > 0
     assert all(s.iterations >= 1 for s in report.solve_stats[16][:5])
+
+
+def test_the_tolerance_rule_keeps_the_refinement_errors(monkeypatch):
+    """Each step's loosened solve (chfd.psd.KAPPA) against solves at TOL_REL only:
+    the errors agree to 1e-4 and the finest rates stay in criterion 1's window.
+    A safety factor of 1 moves the m = 16 error by 1.2e-3 and fails this."""
+    ruled = convergence_study(m_list=(16, 32, 64))
+    # the rule loosens solves, and the energy guard leaves the forced study alone
+    assert max(s.rel_tol for s in ruled.solve_stats[16]) > chfd.psd.TOL_REL
+    assert not any(s.resolves for level in ruled.solve_stats.values() for s in level)
+    monkeypatch.setattr(chfd.psd, "KAPPA", 0.0)
+    exact = convergence_study(m_list=(16, 32, 64))
+    for got, want in zip(ruled.rows, exact.rows):
+        assert got.error_l2 == pytest.approx(want.error_l2, rel=1e-4, abs=0)
+        assert got.error_linf == pytest.approx(want.error_linf, rel=1e-4, abs=0)
+    assert all(3.8 <= rate <= 4.1 for rate in ruled.finest_rates(1)[0])
 
 
 def test_convergence_study_needs_two_levels():
