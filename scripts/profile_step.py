@@ -12,10 +12,12 @@ Two shapes of call:
   steady-state steps.  It also prints the minor page faults that each
   profiled step took (``resource.getrusage`` of this process): a step that
   allocates afresh what the previous one freed takes them where the C
-  allocator has given that memory back to the system.  A last line before
-  the profile gives the mean PSD iterations per profiled step and the
-  median of the relative tolerances their solves stopped at (each step's
-  own, from its time-error estimate; see ``chfd.psd``).
+  allocator has given that memory back to the system.
+
+For both, a last line before the profile gives the mean PSD iterations per
+profiled step and the median of the relative tolerances their solves stopped
+at (an unforced step's own, from its time-error estimate; a forced step's
+``TOL_REL``; see ``chfd.scheme``).
 
 The script only calls the package; it changes nothing.  cProfile adds a cost
 to every Python-level call and none to the work inside numpy, so it
@@ -38,18 +40,25 @@ import sys
 import time
 
 from chfd.grid import GridSpec
+from chfd.psd import SolveStats
 from chfd.rng import random_initial_field
 from chfd.scheme import SchemeParams, restart_flat, step
 from chfd.spectral import make_plan
 from chfd.verification import convergence_study
 
 
-def profile_converge(profiler: cProfile.Profile) -> str:
+def solve_line(stats: list[SolveStats]) -> str:
+    iters = statistics.fmean(s.iterations for s in stats)
+    rel_tol = statistics.median(s.rel_tol for s in stats)
+    return f"psd iterations per step: mean {iters:.2f}; median relative tolerance {rel_tol:.2e}"
+
+
+def profile_converge(profiler: cProfile.Profile) -> tuple[str, list[str]]:
     profiler.enable()
     report = convergence_study((16, 32, 64))
     profiler.disable()
-    n = sum(len(level) for level in report.solve_stats.values())
-    return f"convergence_study((16, 32, 64)): {n} steps"
+    stats = [s for level in report.solve_stats.values() for s in level]
+    return f"convergence_study((16, 32, 64)): {len(stats)} steps", [solve_line(stats)]
 
 
 def profile_steps(profiler: cProfile.Profile, m: int, n_steps: int) -> tuple[str, list[str]]:
@@ -65,11 +74,9 @@ def profile_steps(profiler: cProfile.Profile, m: int, n_steps: int) -> tuple[str
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         stats.append(diag.solve)
     profiler.disable()
-    iters = statistics.fmean(s.iterations for s in stats)
-    rel_tol = statistics.median(s.rel_tol for s in stats)
     return f"{n_steps} steps at m={m}", [
         " ".join(["minor page faults per step:", *map(str, faults)]),
-        f"psd iterations per step: mean {iters:.2f}; median relative tolerance {rel_tol:.2e}",
+        solve_line(stats),
     ]
 
 
@@ -84,9 +91,8 @@ def main(argv: list[str] | None = None) -> int:
 
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
-    lines: list[str] = []
     if args.shape == "converge":
-        what = profile_converge(profiler)
+        what, lines = profile_converge(profiler)
     else:
         what, lines = profile_steps(profiler, args.m, args.steps)
     print(f"{what}, {time.perf_counter() - t0:.2f} s under the profiler")

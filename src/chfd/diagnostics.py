@@ -43,7 +43,7 @@ class EnergyRecord:
 
 # ``work`` below: None, or buffers for the temporaries (a float array on the
 # grid and two complex arrays of the rfft shape), such as the ``scratch`` of
-# the solver workspace (chfd.psd.UpdateOperator)
+# the plan's solver operator between solves (chfd.psd.workspace)
 Work = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 

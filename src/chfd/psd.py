@@ -31,20 +31,8 @@ step size is its unique real root, in (0, -4 c0/c1].  Every step is a descent
 step and F never increases.  F itself is never evaluated: the solve records
 its change from the initial guess, the sum of the exact line-search decreases.
 
-Each solve stops as tightly as its step's time error needs.  The scheme is
-second order in time, and in a coarsening run a step's own error lies many
-orders above a 1e-10 residual.  A state that has stepped from a history
-carries eta = dt |delta|_2 / |phi_k - beta0|_2, where delta = phi_k -
-(2 phi_km1 - phi_km2) is how far the last solve moved from its extrapolated
-guess (formed by :func:`chfd.scheme.step`).  The next solve stops at the
-relative tolerance max(TOL_REL, KAPPA eta), the forcing-term rule of inexact
-Newton methods (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  A history
-that starts or restarts flat has no estimate, so its first two steps solve
-at TOL_REL exactly, and so does every solve of a state without one.  The
-energy bound of the scheme assumes an exact solve: a loosened unforced step
-that raises the modified energy by more than 1e-10 of it is solved again at
-TOL_REL (the energy guard of :func:`chfd.scheme.step`, counted in
-``SolveStats.resolves``).
+Each solve stops at the relative tolerance its caller gives;
+:func:`chfd.scheme.step` sets it from its step's time error.
 
 The paper's method (Feng, Salgado, Wang & Wise, J. Comput. Phys. 334, 2017)
 is steepest descent, d = z, with the symbol 1/Lambda + dt + dt (eps^2 +
@@ -54,8 +42,8 @@ methods", 2006.
 """
 from __future__ import annotations
 
-import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -91,26 +79,19 @@ class SolverError(RuntimeError):
 # it by e^{sigma*T}, so a loose absolute tolerance puts a dt-independent floor
 # under any convergence study long before the scheme's own accuracy limit.
 _TOL_FLOOR = 1e-15
-# TOL_REL is the tightest relative part of the stopping test: a state without a
-# time-error estimate (the first two steps of a flat history) stops there, and
-# no solve stops tighter.  MAX_ITER is the iteration budget.  Both fixed: the
-# exact line search leaves the method nothing to tune.
+# TOL_REL is the tightest relative part of the stopping test: solve's default,
+# and no step solves tighter.  MAX_ITER is the iteration budget.  Both fixed:
+# the exact line search leaves the method nothing to tune.
 TOL_REL = 1e-10
 MAX_ITER = 200
-# Safety factor between a step's estimated time error and its relative
-# tolerance, max(TOL_REL, KAPPA eta).  Fixed.  In the manufactured study the
-# step changes are tiny and the rule tightens by itself: KAPPA = 0.1 and 0.01
-# both move the m = 16 errors of convergence_study((16, 32, 64)) by 1.8e-6
-# (l2) and 5.7e-6 (max) relative and leave m = 32 and 64 as they are, while
-# KAPPA = 1 moves them by 1.2e-3 and 2.4e-3.
-KAPPA = 0.1
 
 
 @dataclass
 class SolveStats:
     """Iteration count, and per iterate the residual norm and F - F(guess), 0.0 first;
     the relative tolerance the solve stopped at, and how many solves at a looser
-    one its step discarded (the energy guard of :func:`chfd.scheme.step`)."""
+    one its step discarded (the energy guard of :func:`chfd.scheme.step`).  A
+    re-solved step's ``iterations`` counts both solves; the rest is the kept one's."""
 
     iterations: int
     residuals: list[float]
@@ -200,27 +181,27 @@ class UpdateOperator:
     S, 1/Lambda and 1/sigma vanish at the zero mode, which keeps every iterate
     on the mass hyperplane.
 
-    Lifecycle: an operator is built for one (plan, params) and serves any
-    number of solves, each opened by :meth:`start`, which resets 1/sigma, the
-    last direction and its scalars in place; a solve leaves nothing that the
-    next one reads.  :func:`solve` uses the plan's own operator from
-    :func:`workspace`: built on the plan's first solve, replaced when dt
-    changes, dropped with the plan, and serving one solve at a time.  Between
-    solves, ``scratch`` (a float array on the grid and two spectra) is free
-    for a step's diagnostics.  Every operator, the plan's or one a caller
-    builds, has buffers of its own; its methods return views of them, which
-    the next call overwrites.
+    Lifecycle: an operator holds the buffers of one grid, allocated once, and
+    serves any number of solves, each opened by :meth:`rhs` (the one method
+    that takes the scheme's parameters) and :meth:`start`, which reset the
+    coefficients and the last direction in place; a solve leaves nothing that
+    the next one reads.  :func:`solve` uses the plan's own operator from
+    :func:`workspace`: built on the plan's first solve, kept for every dt,
+    dropped with the plan, and serving one solve at a time.  Between solves,
+    ``scratch`` (a float array on the grid and two spectra) is free for a
+    step's diagnostics.  Every operator, the plan's or one a caller builds,
+    has buffers of its own; its methods return views of them, which the next
+    call overwrites.
     """
 
-    def __init__(self, plan: SpectralPlan, params: SchemeParams):
-        grid = plan.grid
-        self.grid = grid
-        self.dt = dt = params.dt
+    def __init__(self, plan: SpectralPlan):
+        # the plan's tables, not the plan: the plan's operator must die with it
+        self.grid = grid = plan.grid
         self.hd = grid.h**2
-        self.inv_Lambda = plan.inv_Lambda
-        self.S = 1.5 * plan.inv_Lambda + dt * (params.A * dt + params.eps**2) * plan.Lambda_long
-        self._rhs_symbol = params.A * dt**2 * plan.Lambda_long + 2.0 * dt
-        self.inv_sigma = np.empty_like(self.S)
+        self.Lambda, self.inv_Lambda = plan.Lambda_long, plan.inv_Lambda
+        self.params: SchemeParams | None = None  # those of S, the rhs symbol and dt
+        # three allocations: one stacked block measured about 3% slower per 128² step
+        self.S, self._rhs_symbol, self.inv_sigma = (np.empty_like(self.Lambda) for _ in range(3))
         # spectra: f^ - Lin^ at the iterate, r^, and z^, d^ and S d^ of the last
         # direction (d^ = 0 before the first); (r, z), (r, d) and (d, S d) of it
         spectra = np.zeros((5, *self.S.shape), complex)
@@ -229,18 +210,23 @@ class UpdateOperator:
         self._d, self._work = np.empty((2,) + grid.shape)  # d, and room for phi^3 or phi d^2
         self.scratch = (self._work, self._r_hat, self._z_hat)
 
-    @functools.cached_property
-    def _source_symbol(self) -> np.ndarray:
-        """dt / Lambda: how a forcing's spectrum enters f^ (forced runs only)."""
-        return self.dt * self.inv_Lambda
-
-    def rhs(self, state: StepState, forcing: Field | None = None) -> np.ndarray:
+    def rhs(self, state: StepState, params: SchemeParams,
+            forcing: Field | None = None) -> np.ndarray:
         """f^ from ``state`` and ``forcing``, the source sampled at t_k + dt, in the
-        buffer that :meth:`start` opens from; the idle r^ is scratch."""
+        buffer that :meth:`start` opens from; the idle r^ is scratch.  New ``params``
+        first set dt, S and the rhs symbol A dt^2 Lambda + 2 dt in place."""
+        if params != self.params:
+            self.params = params
+            dt = self.dt = params.dt
+            np.multiply(self.Lambda, dt * (params.A * dt + params.eps**2), out=self.S)
+            self.S += np.multiply(self.inv_Lambda, 1.5, out=self._rhs_symbol)
+            np.multiply(self.Lambda, params.A * dt**2, out=self._rhs_symbol)
+            self._rhs_symbol += 2.0 * dt
         f_hat = np.multiply(self._rhs_symbol, state.phi_curr.spectrum, out=self._lin_hat)
         f_hat -= np.multiply(state.phi_prev.spectrum, self.dt, out=self._r_hat)
         if forcing is not None:
-            f_hat += np.multiply(self._source_symbol, forcing.spectrum, out=self._r_hat)
+            g_hat = np.multiply(self.inv_Lambda, self.dt, out=self._r_hat)
+            f_hat += np.multiply(g_hat, forcing.spectrum, out=g_hat)
         return f_hat
 
     def start(self, state: StepState, guess_hat: np.ndarray, f_hat: np.ndarray) -> None:
@@ -319,15 +305,15 @@ class UpdateOperator:
         phi += self._d
 
 
-def workspace(plan: SpectralPlan, params: SchemeParams) -> UpdateOperator:
-    """The plan's operator for ``params``, built on first use.
+# each plan's operator, keyed by the plan (which hashes by identity) and gone with it
+_operators: weakref.WeakKeyDictionary[SpectralPlan, UpdateOperator] = weakref.WeakKeyDictionary()
 
-    The plan keeps one operator: a new ``params`` (a dt switch) replaces it.
-    """
-    op = plan.operators.get(params)
+
+def workspace(plan: SpectralPlan) -> UpdateOperator:
+    """The plan's operator, built on first use and kept for every dt."""
+    op = _operators.get(plan)
     if op is None:
-        plan.operators.clear()
-        op = plan.operators[params] = UpdateOperator(plan, params)
+        op = _operators[plan] = UpdateOperator(plan)
     return op
 
 
@@ -336,15 +322,15 @@ def solve(
     params: SchemeParams,
     plan: SpectralPlan,
     forcing: Field | None = None,
+    rel_tol: float = TOL_REL,
 ) -> tuple[Field, SolveStats]:
     """Minimize the update objective on the mass hyperplane.
 
     Works in the plan's operator (:func:`workspace`), which forms f^ from the
     history and ``forcing``, the source sampled at t_k + dt.  Starts from the extrapolation
     2 phi_k - phi_km1, with its spectrum formed from the history's, and stops when
-    |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + rel |P0 f|_2, within MAX_ITER
-    iterations: rel is TOL_REL for a state without an error estimate and
-    max(TOL_REL, KAPPA eta) for one that carries eta, both read at call time.
+    |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + rel_tol |P0 f|_2, within MAX_ITER
+    iterations (read at call time).
     Raises :class:`SolverError` (carrying the residual history) on
     non-convergence, at a residual that is not finite, or at one whose norm
     overflows.  The state and the forcing must be on the plan's grid.
@@ -353,12 +339,10 @@ def solve(
     if forcing is not None:
         _check_same_grid(plan, forcing)
     grid = plan.grid
-    op = workspace(plan, params)
-    rhs = op.rhs(state, forcing)
+    op = workspace(plan)
+    rhs = op.rhs(state, params, forcing)
     f_sq = _inner(grid, rhs, rhs)
     f0_sq = f_sq - grid.h**2 / grid.m**2 * abs(rhs[0, 0]) ** 2  # without the zero mode
-    eta = state.error_estimate
-    rel_tol = TOL_REL if eta is None else max(TOL_REL, KAPPA * eta)
     tol = _TOL_FLOOR * (1.0 + math.sqrt(f_sq)) + rel_tol * math.sqrt(max(f0_sq, 0.0))
 
     # the guess: the new field's values, and its spectrum from the history's

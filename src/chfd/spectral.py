@@ -22,7 +22,7 @@ friends are stored in the rfft layout: the last axis holds modes 0..m//2 only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +44,6 @@ class SpectralPlan:
     grid: GridSpec
     Lambda_long: np.ndarray  # -(sum of per-axis lambda_long); (m, m//2+1)
     inv_Lambda: np.ndarray  # 1/Lambda_long with the zero mode set to 0
-    # the solve's workspace on this grid, {SchemeParams: chfd.psd.UpdateOperator},
-    # at most one entry (chfd.psd.workspace); it dies with the plan
-    operators: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def make_plan(grid: GridSpec) -> SpectralPlan:

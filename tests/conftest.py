@@ -29,7 +29,7 @@ from chfd import (
     norm_l2,
 )
 import chfd.psd
-from chfd.psd import _TOL_FLOOR, LineSearchCubic
+from chfd.psd import _TOL_FLOOR, TOL_REL, LineSearchCubic
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +172,19 @@ def oracle_precondition(r: Field, sigma: np.ndarray) -> Field:
     return Field(r.grid, np.fft.ifft2(np.fft.fft2(r.values) / sigma).real)
 
 
-def _oracle_descent(state, params, rhs: np.ndarray, plan, sigma, conjugate: bool):
+def _oracle_descent(state, params, rhs: np.ndarray, plan, sigma, conjugate: bool,
+                    rel_tol: float):
     """Exact-line-search descent from the extrapolated guess.
 
-    Same stopping rule as ``chfd.psd.solve``, read from the same (possibly
-    monkeypatched) constants; returns (phi, iterations).  With ``conjugate``
+    Same stopping rule as ``chfd.psd.solve`` at ``rel_tol``, with its (possibly
+    monkeypatched) MAX_ITER; returns (phi, iterations).  With ``conjugate``
     the directions are PR+ ones, restarted at z when the cubic's c0 >= 0.
     """
     grid = state.phi_curr.grid
     f = rhs_field(grid, rhs)
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
     f0 = Field(grid, f.values - f.values.mean())
-    tol = _TOL_FLOOR * (1.0 + norm_l2(f)) + chfd.psd.TOL_REL * norm_l2(f0)
+    tol = _TOL_FLOOR * (1.0 + norm_l2(f)) + rel_tol * norm_l2(f0)
     d = None
     for it in range(chfd.psd.MAX_ITER + 1):
         r = oracle_residual(state, params, phi, rhs, plan)
@@ -205,15 +206,17 @@ def _oracle_descent(state, params, rhs: np.ndarray, plan, sigma, conjugate: bool
     raise RuntimeError(f"oracle loop did not converge in {chfd.psd.MAX_ITER} iterations")
 
 
-def oracle_psd(state, params, rhs: np.ndarray, plan) -> tuple[np.ndarray, int]:
+def oracle_psd(state, params, rhs: np.ndarray, plan,
+               rel_tol: float = TOL_REL) -> tuple[np.ndarray, int]:
     """The production method: Hessian symbol and PR+ conjugate directions."""
-    return _oracle_descent(state, params, rhs, plan, hessian_sigma(state, params), True)
+    return _oracle_descent(state, params, rhs, plan, hessian_sigma(state, params), True,
+                           rel_tol)
 
 
 def reference_psd(state, params, rhs: np.ndarray, plan) -> tuple[np.ndarray, int]:
     """The paper's method: its symbol and steepest descent."""
     sigma = paper_sigma(state.phi_curr.grid, params)
-    return _oracle_descent(state, params, rhs, plan, sigma, False)
+    return _oracle_descent(state, params, rhs, plan, sigma, False, TOL_REL)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import yaml
 
 import chfd.cli
 import chfd.psd
-from chfd import Field, GridSpec, field_from_fn, fit_power_law, mean, norm_linf
+import chfd.scheme
+from chfd import Field, GridSpec, field_from_fn, fit_power_law, make_plan, mean, norm_linf
 from chfd.cli import (
     ConfigError,
     SegmentConfig,
@@ -28,6 +29,7 @@ from chfd.io import (
     write_snapshot,
 )
 from chfd.rng import random_initial_field, splitmix64, unit_floats
+from chfd.scheme import SchemeParams, step
 from chfd.verification import TRUNCATION_CASES
 
 
@@ -533,7 +535,7 @@ def test_flat_histories_solve_their_first_two_steps_at_tol_rel(tmp_path, monkeyp
 
     result, ruled = run("rule")
     assert [s.rel_tol for s in result.solve_stats] == [chfd.psd.TOL_REL] * (2 * len(schedule))
-    monkeypatch.setattr(chfd.psd, "KAPPA", 0.0)
+    monkeypatch.setattr(chfd.scheme, "KAPPA", 0.0)
     assert run("exact")[1] == ruled
     # the third step of a history has an estimate and loosens its solve
     monkeypatch.undo()
@@ -546,7 +548,9 @@ def test_the_energy_guard_solves_a_loosened_step_again(tmp_path, monkeypatch, ca
     """A fast-decaying mode overshoots its extrapolated guess.  With KAPPA so large
     that a solve with an estimate stops at that guess, the guard solves every
     step whose E_mod rose again at TOL_REL; E_mod then never rises, and the run
-    summary counts the re-solved steps."""
+    summary counts the re-solved steps.  A re-solved step's iterations, in its
+    SolveStats, its energy.csv row and the summary, are those of both solves; its
+    residuals are the kept solve's."""
     grid = GridSpec(L=3.2, m=16)
     phi = field_from_fn(grid, lambda x, y: 0.1 * np.sin(4 * np.pi * x / grid.L)
                         * np.cos(2 * np.pi * y / grid.L))
@@ -556,16 +560,44 @@ def test_the_energy_guard_solves_a_loosened_step_again(tmp_path, monkeypatch, ca
         physics={"eps": 0.3}, schedule=[{"dt": 0.1, "t_end": 2.0}],
         initial={"kind": "file", "path": str(tmp_path / "mode.chf")},
         output={"dir": str(tmp_path / "out")})))
-    monkeypatch.setattr(chfd.psd, "KAPPA", 1e12)
+    monkeypatch.setattr(chfd.scheme, "KAPPA", 1e12)
+    solves = []  # the iterations of each solve, in call order
+    solve = chfd.psd.solve
+
+    def counted(*args, **kwargs):
+        phi, stats = solve(*args, **kwargs)
+        solves.append(stats.iterations)
+        return phi, stats
+
+    monkeypatch.setattr(chfd.psd, "solve", counted)
     result = run_simulation(load_config(cfg), write_outputs=False)
     resolved = [s for s in result.solve_stats if s.resolves]
     assert result.resolves == len(resolved) >= 3
     assert all(s.resolves == 1 and s.rel_tol == chfd.psd.TOL_REL for s in resolved)
+    per_step = []  # every step has a row (energy_every = 1): a re-solved one took two solves
+    for s in result.solve_stats:
+        loosened = [solves.pop(0)] if s.resolves else []
+        per_step.append(sum(loosened) + solves.pop(0))
+    assert solves == []
+    assert [s.iterations for s in result.solve_stats] == per_step
+    assert [r.psd_iters for r in result.records[1:]] == per_step
     assert any(s.rel_tol > 1.0 for s in result.solve_stats)  # loosened solves that stood
     e_mod = np.array([r.E_mod for r in result.records])
     assert np.all(np.diff(e_mod) <= 1e-10 * np.abs(e_mod[:-1]))
+    # those loosened solves stopped at the guess; one that iterates: the guard
+    # compares with the state's E_mod, here lowered below any update's
+    state = dataclasses.replace(result.state, error_estimate=1e-3 / chfd.scheme.KAPPA,
+                                E_mod=result.state.E_mod - 1.0)
+    _, diag = step(state, SchemeParams(eps=0.3, dt=0.1), make_plan(grid))
+    loosened, kept = solves
+    assert loosened > 0 and diag.solve.resolves == 1
+    assert diag.record.psd_iters == diag.solve.iterations == loosened + kept
+    assert len(diag.solve.residuals) == kept + 1
+    monkeypatch.setattr(chfd.psd, "solve", solve)
     assert main(["run", str(cfg)]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == (f"psd iterations/step over the {len(per_step)} energy.csv steps: "
+                        f"mean {sum(per_step) / len(per_step):.1f}, max {max(per_step)}")
     assert lines[2] == (f"energy guard: {result.resolves} step(s) raised E_mod at a loosened "
                         f"tolerance and were solved again at the tightest")
 

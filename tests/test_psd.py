@@ -74,6 +74,13 @@ def problem():
     return make_problem(32)
 
 
+def operator(plan, params, state):
+    """A new operator with its coefficients set for ``params`` (which :meth:`rhs` does)."""
+    op = UpdateOperator(plan)
+    op.rhs(state, params)
+    return op
+
+
 def first_search(op, state, phi, rhs):
     """(r^, d) of the operator at phi, as the first iteration of a solve from state."""
     op.start(state, np.fft.rfft2(phi), rhs)
@@ -94,7 +101,7 @@ def oracle_residual_hat(state, params, phi, rhs, plan):
 
 
 def assert_operator_matches_oracles(grid, plan, params, state, rhs):
-    op = UpdateOperator(plan, params)
+    op = operator(plan, params, state)
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
     r_hat, d = first_search(op, state, phi, rhs)
     assert rel_gap(r_hat, oracle_residual_hat(state, params, phi, rhs, plan)) <= 1e-12
@@ -119,9 +126,9 @@ def assert_operator_matches_oracles(grid, plan, params, state, rhs):
     assert q.integral(alpha) == pytest.approx(F_moved - F_phi, rel=0, abs=1e-12 * abs(F_phi))
 
 
-def assert_solve_matches_oracle_psd(grid, plan, params, state, rhs):
-    phi, stats = solve(state, params, plan)
-    phi_oracle, iterations = oracle_psd(state, params, rhs, plan)
+def assert_solve_matches_oracle_psd(grid, plan, params, state, rhs, rel_tol=1e-12):
+    phi, stats = solve(state, params, plan, rel_tol=rel_tol)
+    phi_oracle, iterations = oracle_psd(state, params, rhs, plan, rel_tol)
     assert stats.iterations == iterations
     assert np.max(np.abs(phi.values - phi_oracle)) <= 1e-12
 
@@ -130,15 +137,13 @@ def test_operator_matches_stencil_oracles(problem):
     assert_operator_matches_oracles(*problem)
 
 
-def test_solve_matches_oracle_psd_loop(problem, monkeypatch):
-    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-12)
+def test_solve_matches_oracle_psd_loop(problem):
     assert_solve_matches_oracle_psd(*problem)
 
 
 @pytest.mark.parametrize("m", [31, 33])
-def test_odd_grids_match_the_oracles(m, monkeypatch):
+def test_odd_grids_match_the_oracles(m):
     """An odd m has no Nyquist column in the rfft layout."""
-    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-12)
     problem = make_problem(m)
     assert_operator_matches_oracles(*problem)
     assert_solve_matches_oracle_psd(*problem)
@@ -167,13 +172,13 @@ def test_an_iteration_takes_one_transform_each_way(problem, fft_calls):
 
 def test_operators_share_no_memory(problem):
     """Two operators a caller builds, and the plan's own, have buffers of their
-    own; they share only the plan's read-only 1/Lambda table."""
+    own; they share only the plan's read-only symbol tables."""
     grid, plan, params, state, rhs = problem
-    ops = [UpdateOperator(plan, params), UpdateOperator(plan, params), workspace(plan, params)]
+    ops = [UpdateOperator(plan), UpdateOperator(plan), workspace(plan)]
 
     def buffers(op):
-        return [v for v in vars(op).values()
-                if isinstance(v, np.ndarray) and v is not plan.inv_Lambda]
+        return [v for v in vars(op).values() if isinstance(v, np.ndarray)
+                and v is not plan.inv_Lambda and v is not plan.Lambda_long]
 
     for i, a in enumerate(ops):
         for b in ops[i + 1:]:
@@ -242,7 +247,7 @@ def test_cubic_root_rejects_a_cubic_that_is_not_monotone():
 
 def test_line_search_minimizes_objective(problem):
     grid, plan, params, state, rhs = problem
-    op = UpdateOperator(plan, params)
+    op = operator(plan, params, state)
     phi = state.phi_curr.values
     _, d = first_search(op, state, phi, rhs)
     alpha = op.cubic(phi).root()
@@ -265,7 +270,7 @@ def test_line_search_cubic_coefficients_signs(problem):
     """At the current iterate the slope c0 is negative along the
     preconditioned residual, c1 > 0, c3 >= 0, c2^2 <= 3 c1 c3."""
     grid, plan, params, state, rhs = problem
-    op = UpdateOperator(plan, params)
+    op = operator(plan, params, state)
     phi = state.phi_curr.values
     r_hat, d = first_search(op, state, phi, rhs)
     q = op.cubic(phi)
@@ -281,8 +286,8 @@ def test_restart_returns_a_descent_step(problem):
     """Where the PR+ direction is not a descent direction, it restarts at z."""
     grid, plan, params, state, rhs = problem
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
-    r_hat, z = first_search(UpdateOperator(plan, params), state, phi, rhs)
-    op = UpdateOperator(plan, params)
+    r_hat, z = first_search(operator(plan, params, state), state, phi, rhs)
+    op = operator(plan, params, state)
     op.start(state, np.fft.rfft2(phi), rhs)
     # after a previous residual -r, beta = 2 and z + beta d_prev = -z: ascent
     op.direction(-r_hat)
@@ -298,7 +303,7 @@ def test_restart_returns_a_descent_step(problem):
 
 def test_zero_direction_rejected(problem):
     grid, plan, params, state, rhs = problem
-    op = UpdateOperator(plan, params)
+    op = operator(plan, params, state)
     phi = state.phi_curr.values
     r_hat, _ = first_search(op, state, phi, rhs)
     op.direction(np.zeros_like(r_hat))
@@ -322,10 +327,9 @@ def test_solver_at_equilibrium_returns_immediately():
     assert np.allclose(phi.values, -1.0, atol=1e-13)
 
 
-def test_solver_reaches_tolerance_and_reports_true_residual(problem, monkeypatch):
+def test_solver_reaches_tolerance_and_reports_true_residual(problem):
     grid, plan, params, state, rhs = problem
-    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-11)
-    phi, stats = solve(state, params, plan)
+    phi, stats = solve(state, params, plan, rel_tol=1e-11)
     # returned phi is on the mass hyperplane
     assert mean(phi) == pytest.approx(state.beta0, abs=1e-13)
     # the solver's residual equals the oracle's at the solution, up to the
@@ -395,15 +399,15 @@ def test_late_time_steps_at_large_dt_stay_healthy(monkeypatch):
 
 @pytest.fixture
 def one_iteration(monkeypatch):
-    """A budget of one iteration toward a tolerance it cannot reach."""
+    """A budget of one iteration, and a relative tolerance it cannot reach."""
     monkeypatch.setattr(chfd.psd, "MAX_ITER", 1)
-    monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-16)
+    return 1e-16
 
 
 def test_iteration_budget_exhaustion_raises(problem, one_iteration):
     grid, plan, params, state, rhs = problem
     with pytest.raises(SolverError) as err:
-        solve(state, params, plan)
+        solve(state, params, plan, rel_tol=one_iteration)
     assert len(err.value.residuals) == 2
     assert err.value.residuals[-1] > 0.0
 
@@ -412,7 +416,7 @@ def test_solver_error_names_step_time_and_residuals(problem, one_iteration):
     grid, plan, params, state, rhs = problem
     later = StepState(state.phi_prev, state.phi_curr, t=0.37, beta0=state.beta0, step_index=36)
     with pytest.raises(SolverError) as err:
-        solve(later, params, plan)
+        solve(later, params, plan, rel_tol=one_iteration)
     message = str(err.value)
     assert "step 37 " in message and "t=0.37" in message and "dt=0.01" in message
     for res in err.value.residuals:

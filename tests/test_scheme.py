@@ -240,7 +240,8 @@ def test_objective_directional_derivative_is_residual():
         return oracle_F(state, params, phi.values + a * d.values, f, plan)
 
     fd = (F_at(alpha) - F_at(-alpha)) / (2 * alpha)
-    op = UpdateOperator(plan, params)
+    op = UpdateOperator(plan)
+    op.rhs(state, params)  # sets the operator's coefficients for params
     op.start(state, phi.spectrum, f)
     # the residual is P0(f - N[phi]); d is mean-zero, so (N[phi] - f, d) = -(r, d)
     residual = Field(grid, np.fft.irfft2(op.residual(phi.values), s=grid.shape))
@@ -372,27 +373,64 @@ def test_states_stepped_alternately_match_each_stepped_alone(grid32):
         assert np.array_equal(state.phi_curr.values, stepped_alone(start))
 
 
-def test_the_workspace_lives_on_its_plan(grid32):
-    """A plan keeps one operator: reused by every step at one dt, replaced at a
-    dt switch, and gone with the plan."""
+def switched(state):
+    """The history restarted flat, as at a dt switch."""
+    return dataclasses.replace(state, phi_prev=state.phi_curr, error_estimate=None, E_mod=None)
+
+
+def test_a_plan_keeps_one_operator_across_a_dt_switch(grid32):
+    """The plan's operator serves every dt, and it is gone with the plan."""
     plan = make_plan(grid32)
+    state, _ = step(restart_flat(random_field(grid32, 57, scale=0.2)),
+                    SchemeParams(eps=0.1, dt=0.01), plan)
+    op = chfd.psd.workspace(plan)
+    step(switched(state), SchemeParams(eps=0.1, dt=0.02), plan)
+    assert chfd.psd.workspace(plan) is op
+    kept = weakref.ref(op)
+    del op, plan
+    gc.collect()
+    assert kept() is None
+
+
+def test_a_step_after_a_dt_switch_matches_one_on_a_fresh_plan(grid32):
+    """The reused operator sets its coefficients for the new dt in place: the
+    step equals, bit for bit, the same step in a fresh plan's new operator."""
     first, second = SchemeParams(eps=0.1, dt=0.01), SchemeParams(eps=0.1, dt=0.02)
-    state = restart_flat(random_field(grid32, 57, scale=0.2))
-    assert plan.operators == {}
-    state, _ = step(state, first, plan)
-    op = plan.operators[first]
-    state, _ = step(state, first, plan)
-    assert plan.operators == {first: op}
-    replaced = weakref.ref(op)
-    del op
-    state, _ = step(dataclasses.replace(state, phi_prev=state.phi_curr), second, plan)
-    assert list(plan.operators) == [second]
-    gc.collect()
-    assert replaced() is None
-    last = weakref.ref(plan.operators[second])
-    del plan
-    gc.collect()
-    assert last() is None
+    plan = make_plan(grid32)
+    state = restart_flat(random_field(grid32, 58, scale=0.2))
+    for _ in range(3):
+        state, _ = step(state, first, plan)
+    state = switched(state)
+    reused, reused_diag = step(state, second, plan)
+    fresh, fresh_diag = step(state, second, make_plan(grid32))
+    assert np.array_equal(reused.phi_curr.values, fresh.phi_curr.values)
+    assert reused_diag.record == fresh_diag.record
+
+
+def test_a_dt_switch_allocates_no_more_than_a_steady_step():
+    """The first step after a switch sets S and the rhs symbol in the operator's
+    own buffers: its traced peak is that of the same step taken again, once the
+    operator holds the new dt.  The slack of a quarter field covers numpy's
+    small-buffer cache, which moves a peak by some hundred bytes; a new
+    operator would add about nine fields."""
+    grid = GridSpec(L=12.8, m=64)
+    plan = make_plan(grid)
+    first, second = SchemeParams(eps=0.05, dt=0.01), SchemeParams(eps=0.05, dt=0.04)
+    state = restart_flat(random_field(grid, 59, scale=0.1))
+    for _ in range(2):
+        state, _ = step(state, first, plan)
+    state = switched(state)
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            step(state, second, plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    after_switch = traced_peak()
+    assert after_switch <= traced_peak() + state.phi_curr.values.nbytes // 4
 
 
 def test_stepper_applies_lap4_without_stencil_rolls(grid32, monkeypatch):

@@ -8,16 +8,29 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_profile_step_profiles_steady_state_steps():
+def profile_step(*args):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "profile_step.py"), "steps", "--m", "16",
-         "--steps", "2"],
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "profile_step.py"), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_profile_step_profiles_steady_state_steps():
+    proc = profile_step("steps", "--m", "16", "--steps", "2")
     assert proc.returncode == 0, proc.stderr
     header, faults, solves = proc.stdout.splitlines()[:3]
     assert header.startswith("2 steps at m=16, "), proc.stdout
     assert faults.startswith("minor page faults per step: ") and len(faults.split()) == 7
     assert solves.startswith("psd iterations per step: mean "), proc.stdout
     assert "; median relative tolerance " in solves
+
+
+def test_profile_step_profiles_the_refinement_study():
+    """Every step of the forced study solves at TOL_REL (1e-10)."""
+    proc = profile_step("converge")
+    assert proc.returncode == 0, proc.stderr
+    header, solves = proc.stdout.splitlines()[:2]
+    assert header.startswith("convergence_study((16, 32, 64)): 672 steps, "), proc.stdout
+    assert solves.startswith("psd iterations per step: mean "), proc.stdout
+    assert solves.endswith("; median relative tolerance 1.00e-10")

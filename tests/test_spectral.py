@@ -161,9 +161,11 @@ def test_preconditioner_single_mode():
     a = 2 * np.pi / grid.L
     f = field_from_fn(grid, lambda x, y: np.sin(a * kx * x) * np.cos(a * ky * y))
     phi_k = random_field(grid, seed=19, scale=0.5)
-    op = UpdateOperator(plan, SchemeParams(eps=eps, dt=dt, A=A))
+    state = restart_flat(phi_k)
+    op = UpdateOperator(plan)
+    op.rhs(state, SchemeParams(eps=eps, dt=dt, A=A))  # sets S for these parameters
     zero = np.zeros_like(plan.inv_Lambda, complex)
-    op.start(restart_flat(phi_k), zero, zero)
+    op.start(state, zero, zero)
 
     def lam1(k):
         s = np.sin(np.pi * k / grid.m)
