@@ -462,8 +462,8 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
         resolves = 0
         for dt, n in segments:
             # a history is kept only within one dt; each segment restarts flat,
-            # without a time-error estimate or a modified energy of the old dt
-            state = dataclasses.replace(state, phi_prev=state.phi_curr,
+            # without a third level, a time-error estimate or a modified energy of the old dt
+            state = dataclasses.replace(state, phi_prev=state.phi_curr, phi_prev2=None,
                                         error_estimate=None, E_mod=None)
             params = SchemeParams(eps=config.eps, dt=dt, A=config.A)
             for _ in range(n):

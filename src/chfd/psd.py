@@ -179,7 +179,7 @@ class UpdateOperator:
     operator's buffers (:func:`chfd.grid._rfft2`, :func:`chfd.grid._irfft2`).
     The preconditioner is the Hessian symbol sigma = S + 3 dt mean(phi_k^2).
     S, 1/Lambda and 1/sigma vanish at the zero mode, which keeps every iterate
-    on the mass hyperplane.
+    on the mass hyperplane of the guess (:func:`solve` puts that on beta0's).
 
     Lifecycle: an operator holds the buffers of one grid, allocated once, and
     serves any number of solves, each opened by :meth:`rhs` (the one method
@@ -327,8 +327,11 @@ def solve(
     """Minimize the update objective on the mass hyperplane.
 
     Works in the plan's operator (:func:`workspace`), which forms f^ from the
-    history and ``forcing``, the source sampled at t_k + dt.  Starts from the extrapolation
-    2 phi_k - phi_km1, with its spectrum formed from the history's, and stops when
+    history and ``forcing``, the source sampled at t_k + dt.  Starts from the
+    extrapolation 3 phi_k - 3 phi_km1 + phi_km2, exact for a history quadratic
+    in t, or 2 phi_k - phi_km1 while the state holds no ``phi_prev2``, with its
+    spectrum formed from the history's and its values shifted to the mean
+    beta0, and stops when
     |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + rel_tol |P0 f|_2, within MAX_ITER
     iterations (read at call time).
     Raises :class:`SolverError` (carrying the residual history) on
@@ -345,11 +348,21 @@ def solve(
     f0_sq = f_sq - grid.h**2 / grid.m**2 * abs(rhs[0, 0]) ** 2  # without the zero mode
     tol = _TOL_FLOOR * (1.0 + math.sqrt(f_sq)) + rel_tol * math.sqrt(max(f0_sq, 0.0))
 
-    # the guess: the new field's values, and its spectrum from the history's
-    phi = np.multiply(state.phi_curr.values, 2.0)
-    phi -= state.phi_prev.values
-    guess_hat = np.multiply(state.phi_curr.spectrum, 2.0, out=op._d_hat)
-    guess_hat -= state.phi_prev.spectrum
+    # the guess w (phi_k - phi_km1) + base, 3 phi_k - 3 phi_km1 + phi_km2 from three
+    # levels or 2 phi_k - phi_km1 from two: the new field's values, and its
+    # spectrum from the history's
+    curr, prev = state.phi_curr, state.phi_prev
+    w, base = (1.0, curr) if state.phi_prev2 is None else (3.0, state.phi_prev2)
+    phi = np.subtract(curr.values, prev.values)
+    phi *= w
+    phi += base.values
+    guess_hat = np.subtract(curr.spectrum, prev.spectrum, out=op._d_hat)
+    guess_hat *= w
+    guess_hat += base.spectrum
+    # Every direction is mean-free, so the solve keeps its guess's mean: put it on
+    # beta0's hyperplane, not on the one where the history's rounding sums.  S
+    # vanishes at the zero mode, so the spectrum's zero mode goes unread.
+    phi += state.beta0 - float(np.sum(phi) / phi.size)  # grid.mean
     op.start(state, guess_hat, rhs)
     residuals: list[float] = []
     objectives = [0.0]  # F - F(guess) at each iterate

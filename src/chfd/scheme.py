@@ -30,14 +30,16 @@ and its forcings live in :mod:`chfd.verification`.
 Each unforced solve stops as tightly as its step's time error needs, which in
 a coarsening run lies many orders above a 1e-10 residual.  An unforced step
 leaves eta = dt |delta|_2 / |phi_k - beta0|_2 on its state, with delta = phi_k
-- (2 phi_km1 - phi_km2) how far its solve moved from the extrapolated guess;
-the next solve stops at the relative tolerance max(TOL_REL, KAPPA eta), the
-forcing-term rule of inexact Newton methods (Eisenstat & Walker, SIAM J. Sci.
-Comput. 17, 1996).  A flat history has no estimate, so its first two steps
-solve at ``chfd.psd.TOL_REL``; a forced step, which measures the scheme's own
-error, solves there too and forms none.  The energy bound assumes an exact
-solve: a loosened step that raises the modified energy by more than 1e-10 of
-it is solved again at TOL_REL (the energy guard).
+- (2 phi_km1 - phi_km2) the defect of the second-order extrapolation that the
+update applies to its concave term (the solve itself starts from a third-order
+one, :func:`chfd.psd.solve`); the next solve stops at the relative tolerance
+max(TOL_REL, KAPPA eta), the forcing-term rule of inexact Newton methods
+(Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  A flat history has no
+estimate, so its first two steps solve at ``chfd.psd.TOL_REL``; a forced
+step, which measures the scheme's own error, solves there too and forms none.
+The energy bound assumes an exact solve: a loosened step that raises the
+modified energy by more than 1e-10 of it is solved again at TOL_REL (the
+energy guard).
 """
 from __future__ import annotations
 
@@ -113,13 +115,16 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class StepState:
-    """Two-field history (phi at the current and previous step) plus bookkeeping.
+    """History (phi at the current and previous step, and at the one before) plus bookkeeping.
 
     ``error_estimate`` is eta, the estimate of the last step's relative time
     error that sets the next solve's tolerance, and ``E_mod``
     that step's modified energy, which the energy guard of :func:`step`
     compares with.  Both are None, "no estimate", for a history that starts or
     restarts flat; :func:`step` sets them, eta on unforced steps only.
+    ``phi_prev2``, phi two steps back, only starts the solve from a third level
+    (:func:`chfd.psd.solve`); it is None until a step follows a history that
+    was not flat.
     """
 
     phi_prev: Field
@@ -129,6 +134,7 @@ class StepState:
     step_index: int = 0
     error_estimate: float | None = None
     E_mod: float | None = None
+    phi_prev2: Field | None = None
 
 
 Source = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
@@ -181,7 +187,8 @@ def restart_flat(phi0: Field, t: float = 0.0) -> StepState:
     Both entries are phi0 itself, as ``step`` shares fields between
     consecutive states: the stepper never writes into a field.  ``step``
     knows a flat history by that identity and forms no time-error estimate
-    from it, so the first two updates solve at ``chfd.psd.TOL_REL``.
+    from it, so the first two updates solve at ``chfd.psd.TOL_REL``, and keeps
+    no third level from it, so the second starts from 2 phi_1 - phi_0.
     """
     return StepState(phi_prev=phi0, phi_curr=phi0, t=t, beta0=mean(phi0))
 
@@ -204,7 +211,8 @@ def assemble_rhs(
 
 
 def _error_estimate(phi_new: Field, state: StepState, dt: float, work: np.ndarray) -> float | None:
-    """eta = dt |phi_new - (2 phi_k - phi_km1)|_2 / |phi_new - beta0|_2, the defect
+    """eta = dt |phi_new - (2 phi_k - phi_km1)|_2 / |phi_new - beta0|_2, with the
+    defect of the update's second-order extrapolation (not of the solve's guess)
     formed in ``work`` and the spread read from the new field's spectrum without
     its zero mode; None after a flat history, whose extrapolation is phi_k itself."""
     if state.phi_prev is state.phi_curr:
@@ -284,5 +292,6 @@ def step(
         step_index=state.step_index + 1,
         error_estimate=eta_new,
         E_mod=E_mod,
+        phi_prev2=None if state.phi_prev is state.phi_curr else state.phi_prev,
     )
     return new_state, StepDiagnostics(record=record, solve=stats)

@@ -505,9 +505,45 @@ def test_history_spectra_stay_those_of_the_values(tmp_path):
     data = base_config(initial={"kind": "file", "path": str(warm)},
                        schedule=[{"dt": 0.01, "t_end": 0.05}, {"dt": 0.02, "t_end": 0.09}])
     state = run_simulation(parse_config(data), write_outputs=False).state
-    for field in (state.phi_prev, state.phi_curr):
+    for field in (state.phi_prev2, state.phi_prev, state.phi_curr):
         assert "spectrum" in vars(field)  # cached during the run
         assert np.array_equal(field.spectrum, np.fft.rfft2(field.values))
+
+
+@pytest.mark.parametrize("start", ["cold", "file", "dt-switch"])
+def test_a_restarted_history_steps_as_a_fresh_flat_one(tmp_path, start):
+    """A cold start, a warm start and a dt switch each restart the history flat,
+    with no third level: the run's first two steps from there equal, bit for bit,
+    the same steps from a flat history built afresh on a new plan."""
+    grid = GridSpec(L=3.2, m=16)
+    phi = random_initial_field(grid, 0.0, 0.1, seed=12)
+    write_snapshot(phi, tmp_path / "warm.chf", t=0.02)
+    first = [{"dt": 0.01, "t_end": 0.05}]
+    schedule = {"cold": [{"dt": 0.01, "t_end": 0.02}], "file": [{"dt": 0.01, "t_end": 0.04}],
+                "dt-switch": first + [{"dt": 0.02, "t_end": 0.09}]}[start]
+    initial = ({"kind": "random", "amplitude": 0.1, "seed": 12} if start == "cold"
+               else {"kind": "file", "path": str(tmp_path / "warm.chf")})
+
+    def run(segments):
+        data = base_config(schedule=segments, initial=initial,
+                           output={"dir": str(tmp_path / "out"), "energy_every": 1})
+        return run_simulation(parse_config(data), write_outputs=False)
+
+    if start == "dt-switch":
+        before = run(first).state
+        phi, t0, k0, beta0 = before.phi_curr, before.t, before.step_index, before.beta0
+    else:
+        t0, k0, beta0 = (0.0 if start == "cold" else 0.02), 0, mean(phi)
+    result = run(schedule)
+    state = chfd.scheme.StepState(phi_prev=phi, phi_curr=phi, t=t0, beta0=beta0, step_index=k0)
+    plan, params = make_plan(grid), SchemeParams(eps=0.1, dt=schedule[-1]["dt"])
+    fresh = []
+    for _ in range(2):
+        state, diag = step(state, params, plan)
+        fresh.append(diag.record)
+    assert result.records[-2:] == fresh
+    assert np.array_equal(result.state.phi_curr.values, state.phi_curr.values)
+    assert result.state.phi_prev2 is not None  # the next step takes the third level
 
 
 @pytest.mark.parametrize("schedule", [

@@ -327,6 +327,44 @@ def test_solver_at_equilibrium_returns_immediately():
     assert np.allclose(phi.values, -1.0, atol=1e-13)
 
 
+def test_a_history_quadratic_in_t_is_extrapolated_exactly(monkeypatch):
+    """With three levels the solve starts from 3 phi_k - 3 phi_km1 + phi_km2: a
+    history sampled from a field quadratic in t (with mean beta0) starts at that
+    field's next value, to rounding, in values and, off the zero mode, in spectrum."""
+    grid = GridSpec(L=3.2, m=32)
+    a, b, c = (smooth_field(grid, seed, beta0=beta0).values
+               for seed, beta0 in ((110, 0.05), (111, 0.0), (112, 0.0)))
+    t, dt = 0.4, 0.01
+
+    def at(s):
+        return Field(grid, a + s * b + s * s * c)
+
+    state = StepState(phi_prev=at(t - dt), phi_curr=at(t), t=t, beta0=0.05, step_index=40,
+                      phi_prev2=at(t - 2 * dt))
+    started = []
+    start, residual = UpdateOperator.start, UpdateOperator.residual
+
+    def spy_start(op, state, guess_hat, f_hat):
+        started.append(guess_hat.copy())
+        start(op, state, guess_hat, f_hat)
+
+    def spy_residual(op, phi):
+        if len(started) == 1:
+            started.append(phi.copy())
+        return residual(op, phi)
+
+    monkeypatch.setattr(UpdateOperator, "start", spy_start)
+    monkeypatch.setattr(UpdateOperator, "residual", spy_residual)
+    solve(state, SchemeParams(eps=0.1, dt=dt), make_plan(grid))
+    guess_hat, guess = started
+    want = at(t + dt).values
+    assert np.max(np.abs(guess - want)) <= 1e-15 * 16
+    want_hat = np.fft.rfft2(want)
+    gap = guess_hat - want_hat
+    gap[0, 0] = 0.0
+    assert np.max(np.abs(gap)) <= 1e-15 * 16 * np.max(np.abs(want_hat))
+
+
 def test_solver_reaches_tolerance_and_reports_true_residual(problem):
     grid, plan, params, state, rhs = problem
     phi, stats = solve(state, params, plan, rel_tol=1e-11)

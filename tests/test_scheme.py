@@ -299,6 +299,26 @@ def test_step_conserves_mass_and_advances_time(grid32):
     assert state.step_index == 3
 
 
+@pytest.mark.parametrize("errors", [(1e-13, 3e-13), (1e-13, 3e-13, 2e-13)],
+                         ids=["two-level", "three-level"])
+def test_a_step_puts_the_new_field_on_the_mass_of_beta0(grid32, errors):
+    """A history's means carry rounding that the extrapolated guess would sum
+    (to -1e-13 and -4e-13 here); the new field's mean is beta0 to rounding, so
+    the drift cannot grow over a long run."""
+    beta0 = 0.05
+    base = 0.1 * random_field(grid32, 60).values
+    base += beta0 - np.mean(base)
+    drift = np.sin(base)
+    drift -= np.mean(drift)
+    curr, prev, *prev2 = (Field(grid32, base - (0.01 * k) * drift + e)
+                          for k, e in enumerate(errors))
+    state = StepState(phi_prev=prev, phi_curr=curr, t=0.3, beta0=beta0, step_index=30,
+                      phi_prev2=prev2[0] if prev2 else None)
+    new, diag = step(state, SchemeParams(eps=0.1, dt=0.01), make_plan(grid32))
+    assert abs(mean(new.phi_curr) - beta0) <= 1e-15 * (1.0 + abs(beta0))
+    assert diag.record.mass == mean(new.phi_curr)
+
+
 def test_step_decreases_modified_energy(grid32):
     plan = make_plan(grid32)
     params = SchemeParams(eps=0.1, dt=0.01)
@@ -338,6 +358,7 @@ def test_a_steady_state_step_allocates_only_its_new_field():
     state = restart_flat(random_field(grid, 54, scale=0.1))
     for _ in range(2):
         state, _ = step(state, params, plan)
+    assert state.phi_prev2 is not None  # the guess takes three levels
     tracemalloc.start()
     try:
         state, diag = step(state, params, plan)
@@ -375,7 +396,8 @@ def test_states_stepped_alternately_match_each_stepped_alone(grid32):
 
 def switched(state):
     """The history restarted flat, as at a dt switch."""
-    return dataclasses.replace(state, phi_prev=state.phi_curr, error_estimate=None, E_mod=None)
+    return dataclasses.replace(state, phi_prev=state.phi_curr, phi_prev2=None,
+                               error_estimate=None, E_mod=None)
 
 
 def test_a_plan_keeps_one_operator_across_a_dt_switch(grid32):
@@ -393,18 +415,23 @@ def test_a_plan_keeps_one_operator_across_a_dt_switch(grid32):
 
 
 def test_a_step_after_a_dt_switch_matches_one_on_a_fresh_plan(grid32):
-    """The reused operator sets its coefficients for the new dt in place: the
-    step equals, bit for bit, the same step in a fresh plan's new operator."""
+    """The reused operator sets its coefficients for the new dt in place: the two
+    steps after a switch equal, bit for bit, the same steps from a flat history
+    built afresh, in a fresh plan's new operator."""
     first, second = SchemeParams(eps=0.1, dt=0.01), SchemeParams(eps=0.1, dt=0.02)
     plan = make_plan(grid32)
     state = restart_flat(random_field(grid32, 58, scale=0.2))
     for _ in range(3):
         state, _ = step(state, first, plan)
-    state = switched(state)
-    reused, reused_diag = step(state, second, plan)
-    fresh, fresh_diag = step(state, second, make_plan(grid32))
-    assert np.array_equal(reused.phi_curr.values, fresh.phi_curr.values)
-    assert reused_diag.record == fresh_diag.record
+    reused = switched(state)
+    fresh = StepState(phi_prev=state.phi_curr, phi_curr=state.phi_curr, t=state.t,
+                      beta0=state.beta0, step_index=state.step_index)
+    fresh_plan = make_plan(grid32)
+    for _ in range(2):
+        reused, reused_diag = step(reused, second, plan)
+        fresh, fresh_diag = step(fresh, second, fresh_plan)
+        assert np.array_equal(reused.phi_curr.values, fresh.phi_curr.values)
+        assert reused_diag.record == fresh_diag.record
 
 
 def test_a_dt_switch_allocates_no_more_than_a_steady_step():
