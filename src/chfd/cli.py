@@ -20,7 +20,6 @@ subcommand), 4 verification assertion failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -408,8 +407,8 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
     holds no more history than the CSV.  Every segment and snapshot time must sit on the
     step lattice from the initial time (ConfigError otherwise), so a snapshot
     is taken at exactly the step time it names.  Steps are numbered from the
-    initial time through the whole run, across changes of dt.  Every history
-    starts flat (``restart_flat``): at the initial time and at each dt change.
+    initial time through the whole run, across changes of dt.  The history
+    starts flat (``restart_flat``), and ``step`` restarts it flat at each dt change.
     """
     grid = GridSpec(L=config.L, m=config.m)
     plan = make_plan(grid)
@@ -461,10 +460,6 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
         solve_stats: list[SolveStats] = []
         resolves = 0
         for dt, n in segments:
-            # a history is kept only within one dt; each segment restarts flat,
-            # without a third level, a time-error estimate or a modified energy of the old dt
-            state = dataclasses.replace(state, phi_prev=state.phi_curr, phi_prev2=None,
-                                        error_estimate=None, E_mod=None)
             params = SchemeParams(eps=config.eps, dt=dt, A=config.A)
             for _ in range(n):
                 state, diag = step(state, params, plan)

@@ -29,14 +29,15 @@ and its forcings live in :mod:`chfd.verification`.
 
 Each unforced solve stops as tightly as its step's time error needs, which in
 a coarsening run lies many orders above a 1e-10 residual.  An unforced step
-leaves eta = dt |delta|_2 / |phi_k - beta0|_2 on its state, with delta = phi_k
-- (2 phi_km1 - phi_km2) the defect of the second-order extrapolation that the
-update applies to its concave term (the solve itself starts from a third-order
-one, :func:`chfd.psd.solve`); the next solve stops at the relative tolerance
-max(TOL_REL, KAPPA eta), the forcing-term rule of inexact Newton methods
-(Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  A flat history has no
-estimate, so its first two steps solve at ``chfd.psd.TOL_REL``; a forced
-step, which measures the scheme's own error, solves there too and forms none.
+whose state holds phi_km2 forms eta = dt |delta|_2 / |phi_k - beta0|_2 at its
+start, with delta = phi_k - (2 phi_km1 - phi_km2) the defect of the
+second-order extrapolation that the update applies to its concave term (the
+solve itself starts from a third-order one, :func:`chfd.psd.solve`), and
+solves at the relative tolerance max(TOL_REL, KAPPA eta), the forcing-term
+rule of inexact Newton methods (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+1996).  A history holds one dt; a step at another restarts it flat, and a flat
+history's first two steps, without phi_km2, solve at ``chfd.psd.TOL_REL``.  So
+does a forced step, which measures the scheme's own error and forms no eta.
 The energy bound assumes an exact solve: a loosened step that raises the
 modified energy by more than 1e-10 of it is solved again at TOL_REL (the
 energy guard).
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -117,12 +118,11 @@ class SchemeParams:
 class StepState:
     """History (phi at the current and previous step, and at the one before) plus bookkeeping.
 
-    ``error_estimate`` is eta, the estimate of the last step's relative time
-    error that sets the next solve's tolerance, and ``E_mod``
-    that step's modified energy, which the energy guard of :func:`step`
-    compares with.  Both are None, "no estimate", for a history that starts or
-    restarts flat; :func:`step` sets them, eta on unforced steps only.
-    ``phi_prev2``, phi two steps back, only starts the solve from a third level
+    ``dt`` is the step the history was made with and ``E_mod`` the last
+    step's modified energy, which the energy guard of :func:`step` compares
+    with; both are None for a history that starts flat, and :func:`step` sets
+    them.  ``phi_prev2``, phi two steps back, gives the time-error estimate
+    eta of an unforced step and the third level of the solve's guess
     (:func:`chfd.psd.solve`); it is None until a step follows a history that
     was not flat.
     """
@@ -132,7 +132,7 @@ class StepState:
     t: float
     beta0: float
     step_index: int = 0
-    error_estimate: float | None = None
+    dt: float | None = None
     E_mod: float | None = None
     phi_prev2: Field | None = None
 
@@ -157,7 +157,8 @@ def sample_source(source: Source, grid: GridSpec, t: float) -> Field:
     sbar = float(np.mean(svals))
     if abs(sbar) > 1e-10 * (1.0 + float(np.max(np.abs(svals)))):
         raise ValueError(f"source mean {sbar:.3e} at t={t} is not numerically zero")
-    return Field(grid, svals - sbar)
+    svals -= sbar
+    return Field(grid, svals)
 
 
 def ghost_init(phi0: Field, params: SchemeParams, source: Source | None = None) -> StepState:
@@ -175,7 +176,7 @@ def ghost_init(phi0: Field, params: SchemeParams, source: Source | None = None) 
     if source is not None:
         rate = rate + sample_source(source, phi0.grid, 0.0).values
     phi_m1 = Field(phi0.grid, phi0.values - params.dt * rate)
-    return StepState(phi_prev=phi_m1, phi_curr=phi0, t=0.0, beta0=mean(phi0), step_index=0)
+    return StepState(phi_prev=phi_m1, phi_curr=phi0, t=0.0, beta0=mean(phi0), dt=params.dt)
 
 
 def restart_flat(phi0: Field, t: float = 0.0) -> StepState:
@@ -186,9 +187,10 @@ def restart_flat(phi0: Field, t: float = 0.0) -> StepState:
 
     Both entries are phi0 itself, as ``step`` shares fields between
     consecutive states: the stepper never writes into a field.  ``step``
-    knows a flat history by that identity and forms no time-error estimate
-    from it, so the first two updates solve at ``chfd.psd.TOL_REL``, and keeps
-    no third level from it, so the second starts from 2 phi_1 - phi_0.
+    knows a flat history by that identity and keeps no third level from it,
+    so the first two updates form no time-error estimate and solve at
+    ``chfd.psd.TOL_REL``, and the second starts from 2 phi_1 - phi_0.  It
+    holds no dt: a step at any dt continues it.
     """
     return StepState(phi_prev=phi0, phi_curr=phi0, t=t, beta0=mean(phi0))
 
@@ -210,18 +212,16 @@ def assemble_rhs(
     return _psd.UpdateOperator(plan).rhs(state, params, forcing).copy()
 
 
-def _error_estimate(phi_new: Field, state: StepState, dt: float, work: np.ndarray) -> float | None:
-    """eta = dt |phi_new - (2 phi_k - phi_km1)|_2 / |phi_new - beta0|_2, with the
+def _time_error(state: StepState, dt: float, work: np.ndarray) -> float:
+    """eta = dt |phi_k - 2 phi_km1 + phi_km2|_2 / |phi_k - beta0|_2, with the
     defect of the update's second-order extrapolation (not of the solve's guess)
-    formed in ``work`` and the spread read from the new field's spectrum without
-    its zero mode; None after a flat history, whose extrapolation is phi_k itself."""
-    if state.phi_prev is state.phi_curr:
-        return None
-    w = np.multiply(state.phi_curr.values, -2.0, out=work)
-    w += state.phi_prev.values
-    w += phi_new.values
-    defect_sq = phi_new.grid.h**2 * float(np.vdot(w, w))
-    spec, grid = phi_new.spectrum, phi_new.grid
+    formed in ``work`` and the spread read from phi_k's spectrum without its
+    zero mode."""
+    w = np.multiply(state.phi_prev.values, -2.0, out=work)
+    w += state.phi_prev2.values
+    w += state.phi_curr.values
+    spec, grid = state.phi_curr.spectrum, state.phi_curr.grid
+    defect_sq = grid.h**2 * float(np.vdot(w, w))
     spread_sq = _inner(grid, spec, spec) - grid.h**2 / grid.m**2 * abs(spec[0, 0]) ** 2
     return dt * math.sqrt(defect_sq / spread_sq) if spread_sq > 0.0 else 0.0
 
@@ -234,17 +234,22 @@ def step(
 ) -> tuple[StepState, StepDiagnostics]:
     """Advance one time step; returns the new state and its diagnostics.
 
-    The solve stops at the module's tolerance (TOL_REL and eta =
-    ``state.error_estimate`` read at call time); the energy guard compares the
-    new field's modified energy with ``state.E_mod`` (``SolveStats.resolves``).
-    Past the plan's first solve, the only arrays such a step allocates are the
-    new field and its spectrum: the solve forms f^ in the plan's solver
-    workspace (:func:`chfd.psd.workspace`), and the diagnostics and the new
-    state's time-error estimate borrow its ``scratch``.
+    A history made at another dt first restarts flat.  The solve stops at the
+    module's tolerance (TOL_REL and eta from the state's three levels); the
+    energy guard compares the new field's modified energy with ``state.E_mod``
+    (``SolveStats.resolves``).  Past the plan's first solve, the only arrays
+    such a step allocates are the new field and its spectrum: the solve forms
+    f^ in the plan's solver workspace (:func:`chfd.psd.workspace`), and eta and
+    the diagnostics borrow its ``scratch``.
     """
+    if state.dt is not None and state.dt != params.dt:
+        # the old dt's E_mod is never read: the guard acts only on a step with eta,
+        # which needs the phi_prev2 that a restarted history's first two steps lack
+        state = replace(state, phi_prev=state.phi_curr, phi_prev2=None)
     forcing = None if source is None else sample_source(source, plan.grid, state.t + params.dt)
     work = _psd.workspace(plan).scratch
-    eta = None if forcing is not None else state.error_estimate
+    eta = (None if forcing is not None or state.phi_prev2 is None
+           else _time_error(state, params.dt, work[0]))
     rel_tol = _psd.TOL_REL if eta is None else max(_psd.TOL_REL, KAPPA * eta)
 
     def solved(rel_tol: float) -> tuple[Field, _psd.SolveStats, float, float, float]:
@@ -273,7 +278,6 @@ def step(
         phi_new, stats, new_mass, E, E_mod = solved(_psd.TOL_REL)
         stats.iterations += loosened
         stats.resolves = 1
-    eta_new = None if forcing is not None else _error_estimate(phi_new, state, params.dt, work[0])
     t_new = state.t + params.dt
     record = EnergyRecord(
         step=state.step_index + 1,
@@ -290,7 +294,7 @@ def step(
         t=t_new,
         beta0=state.beta0,
         step_index=state.step_index + 1,
-        error_estimate=eta_new,
+        dt=params.dt,
         E_mod=E_mod,
         phi_prev2=None if state.phi_prev is state.phi_curr else state.phi_prev,
     )

@@ -620,11 +620,14 @@ def test_the_energy_guard_solves_a_loosened_step_again(tmp_path, monkeypatch, ca
     assert any(s.rel_tol > 1.0 for s in result.solve_stats)  # loosened solves that stood
     e_mod = np.array([r.E_mod for r in result.records])
     assert np.all(np.diff(e_mod) <= 1e-10 * np.abs(e_mod[:-1]))
-    # those loosened solves stopped at the guess; one that iterates: the guard
-    # compares with the state's E_mod, here lowered below any update's
-    state = dataclasses.replace(result.state, error_estimate=1e-3 / chfd.scheme.KAPPA,
-                                E_mod=result.state.E_mod - 1.0)
-    _, diag = step(state, SchemeParams(eps=0.3, dt=0.1), make_plan(grid))
+    # those loosened solves stopped at the guess; one that iterates, with eta set
+    # for this step only: the guard compares with the state's E_mod, here lowered
+    # below any update's
+    state = dataclasses.replace(result.state, E_mod=result.state.E_mod - 1.0)
+    with monkeypatch.context() as patched:
+        patched.setattr(chfd.scheme, "_time_error",
+                        lambda *args: 1e-3 / chfd.scheme.KAPPA)
+        _, diag = step(state, SchemeParams(eps=0.3, dt=0.1), make_plan(grid))
     loosened, kept = solves
     assert loosened > 0 and diag.solve.resolves == 1
     assert diag.record.psd_iters == diag.solve.iterations == loosened + kept

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -394,19 +393,13 @@ def test_states_stepped_alternately_match_each_stepped_alone(grid32):
         assert np.array_equal(state.phi_curr.values, stepped_alone(start))
 
 
-def switched(state):
-    """The history restarted flat, as at a dt switch."""
-    return dataclasses.replace(state, phi_prev=state.phi_curr, phi_prev2=None,
-                               error_estimate=None, E_mod=None)
-
-
 def test_a_plan_keeps_one_operator_across_a_dt_switch(grid32):
     """The plan's operator serves every dt, and it is gone with the plan."""
     plan = make_plan(grid32)
     state, _ = step(restart_flat(random_field(grid32, 57, scale=0.2)),
                     SchemeParams(eps=0.1, dt=0.01), plan)
     op = chfd.psd.workspace(plan)
-    step(switched(state), SchemeParams(eps=0.1, dt=0.02), plan)
+    step(state, SchemeParams(eps=0.1, dt=0.02), plan)
     assert chfd.psd.workspace(plan) is op
     kept = weakref.ref(op)
     del op, plan
@@ -415,15 +408,17 @@ def test_a_plan_keeps_one_operator_across_a_dt_switch(grid32):
 
 
 def test_a_step_after_a_dt_switch_matches_one_on_a_fresh_plan(grid32):
-    """The reused operator sets its coefficients for the new dt in place: the two
-    steps after a switch equal, bit for bit, the same steps from a flat history
-    built afresh, in a fresh plan's new operator."""
+    """A step at a new dt restarts the history flat, and the reused operator sets
+    its coefficients for that dt in place: the two steps after a switch equal,
+    bit for bit, the same steps from a flat history built afresh, in a fresh
+    plan's new operator."""
     first, second = SchemeParams(eps=0.1, dt=0.01), SchemeParams(eps=0.1, dt=0.02)
     plan = make_plan(grid32)
     state = restart_flat(random_field(grid32, 58, scale=0.2))
     for _ in range(3):
         state, _ = step(state, first, plan)
-    reused = switched(state)
+    assert state.dt == first.dt and state.phi_prev2 is not None
+    reused = state
     fresh = StepState(phi_prev=state.phi_curr, phi_curr=state.phi_curr, t=state.t,
                       beta0=state.beta0, step_index=state.step_index)
     fresh_plan = make_plan(grid32)
@@ -432,6 +427,21 @@ def test_a_step_after_a_dt_switch_matches_one_on_a_fresh_plan(grid32):
         fresh, fresh_diag = step(fresh, second, fresh_plan)
         assert np.array_equal(reused.phi_curr.values, fresh.phi_curr.values)
         assert reused_diag.record == fresh_diag.record
+
+
+def test_a_ghost_history_stepped_at_another_dt_restarts_flat(grid32):
+    """ghost_init's history holds its dt: two steps at 2 dt equal, bit for bit,
+    the same steps from restart_flat(phi0)."""
+    params, doubled = SchemeParams(eps=0.1, dt=0.01), SchemeParams(eps=0.1, dt=0.02)
+    phi0 = random_field(grid32, 61, scale=0.2)
+    ghost, flat = ghost_init(phi0, params), restart_flat(phi0)
+    assert ghost.dt == params.dt and flat.dt is None
+    plan = make_plan(grid32)
+    for _ in range(2):
+        ghost, ghost_diag = step(ghost, doubled, plan)
+        flat, flat_diag = step(flat, doubled, plan)
+        assert np.array_equal(ghost.phi_curr.values, flat.phi_curr.values)
+        assert ghost_diag.record == flat_diag.record
 
 
 def test_a_dt_switch_allocates_no_more_than_a_steady_step():
@@ -446,7 +456,6 @@ def test_a_dt_switch_allocates_no_more_than_a_steady_step():
     state = restart_flat(random_field(grid, 59, scale=0.1))
     for _ in range(2):
         state, _ = step(state, first, plan)
-    state = switched(state)
 
     def traced_peak():
         tracemalloc.start()
@@ -491,6 +500,25 @@ def test_no_stepper_module_imports_the_stencils():
                 imported.add(base)
                 imported.update(f"{base}.{alias.name}" for alias in node.names)
         assert "chfd.operators" not in imported, name
+
+
+def test_only_the_stepper_builds_histories():
+    """chfd.scheme alone makes and restarts a StepState: no other module of the
+    package calls StepState(...) or dataclasses.replace(...)."""
+    pkg = Path(chfd.cli.__file__).parent
+    calls = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "scheme.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name.split(".")[-1] == "StepState" or name == "dataclasses.replace":
+                    calls.append(f"{path.name}:{node.lineno} {name}(...)")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                    and any(alias.name == "replace" for alias in node.names)):
+                calls.append(f"{path.name}:{node.lineno} from dataclasses import replace")
+    assert calls == []
 
 
 @pytest.mark.parametrize("corrupt, error", [
