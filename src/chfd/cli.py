@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -202,21 +203,30 @@ def _step_plan(
 
 
 def _finite(val) -> bool:
-    """Whether a YAML value is a number that a float holds finitely."""
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        return False
-    try:
-        return math.isfinite(val)
-    except OverflowError:  # an int too large for a float
-        return False
+    """Whether a YAML value is a number whose square a float holds finitely: the
+    scheme squares eps and dt.  NaN, inf and an int too large compare False."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= 1e154
+
+
+def _misread_number(val) -> str:
+    """" (YAML read it as text: write 1.0e-3)" for text that holds a number, such
+    as 1e-3, else "": YAML 1.1 reads a float only with a dot in the mantissa and a
+    sign on the exponent."""
+    m = isinstance(val, str) and re.fullmatch(
+        r"\s*([+-]?\d+)(?:\.(\d*))?(?:([eE])([+-]?)(\d+))?\s*", val)
+    if not m:
+        return ""
+    exponent = f"{m[3]}{m[4] or '+'}{m[5]}" if m[3] else ""
+    return f" (YAML read it as text: write {m[1]}.{m[2] or 0}{exponent})"
 
 
 def _number(sec: dict, section: str, key: str, default=None, sign: str = "") -> float:
-    """The finite number at ``section.key`` as a float; ``sign`` is "", "positive"
-    or "nonnegative"."""
+    """The number at ``section.key`` (see _finite) as a float; ``sign`` is "",
+    "positive" or "nonnegative"."""
     val = sec.get(key, default)
     if not _finite(val):
-        raise ConfigError(f"'{section}.{key}' must be a finite number, got {val!r}")
+        raise ConfigError(f"'{section}.{key}' must be a finite number of magnitude at most "
+                          f"1e154, got {val!r}{_misread_number(val)}")
     val = float(val)
     if (sign == "positive" and val <= 0) or (sign == "nonnegative" and val < 0):
         raise ConfigError(f"'{section}.{key}' must be {sign}, got {val!r}")
@@ -246,6 +256,8 @@ def parse_config(data: dict) -> RunConfig:
     m = _integer(grid_sec, "grid", "m", minimum=5)
     if m > 2**15:  # one field of 32768^2 cells takes 8 GiB
         raise ConfigError(f"'grid.m' must be at most {2**15}, got {m!r}")
+    if L / m < 1e-76:  # make_plan squares 4 / h^2
+        raise ConfigError(f"'domain.L' = {L!r} gives a cell width h = L / m below 1e-76")
 
     physics = _section(data, "physics", {"eps", "A"})
     eps = _number(physics, "physics", "eps", 0.05, sign="positive")
@@ -292,13 +304,12 @@ def parse_config(data: dict) -> RunConfig:
     out_sec = _section(data, "output", {"dir", "energy_every", "snapshot_times", "formats"})
     energy_every = _integer(out_sec, "output", "energy_every", 1, minimum=1)
     snap_times = out_sec.get("snapshot_times", [])
-    if not isinstance(snap_times, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in snap_times
-    ):
+    if not isinstance(snap_times, list):
         raise ConfigError("'output.snapshot_times' must be a list of numbers")
     bad_times = [t for t in snap_times if not _finite(t)]
     if bad_times:
-        raise ConfigError(f"'output.snapshot_times' must be finite, got {bad_times[0]!r}")
+        raise ConfigError(f"'output.snapshot_times' must hold finite numbers of magnitude at "
+                          f"most 1e154, got {bad_times[0]!r}{_misread_number(bad_times[0])}")
     formats = out_sec.get("formats", ["chf"])
     if not isinstance(formats, list) or not formats:
         raise ConfigError("'output.formats' must be a nonempty list")
@@ -514,6 +525,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     failures: list[str] = []
+
+    def gate(line: str, ok: bool) -> None:
+        if ok:
+            print(line + " [ok]")
+        else:
+            failures.append(line)
+
     try:  # only --out and the CSVs in it are written here
         out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -522,36 +540,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 report = truncation_study(case, m_list=(32, 64, 128, 256), L=1.0)
                 (out_dir / f"truncation_{case}.csv").write_text(report.to_csv(), encoding="ascii")
                 rates = [r for pair in report.finest_rates(2) for r in pair]
-                line = f"truncation {case}: finest rates " + ", ".join(f"{r:.3f}" for r in rates)
-                if all(3.9 <= r <= 4.1 for r in rates):
-                    print(line + " [ok]")
-                else:
-                    failures.append(line)
+                gate(f"truncation {case}: finest rates " + ", ".join(f"{r:.3f}" for r in rates),
+                     all(3.9 <= r <= 4.1 for r in rates))
 
         if args.target in ("symbols", "all"):
             report = symbol_bound_study(L=12.8, m_list=(16, 32, 64, 128, 256, 512))
             (out_dir / "symbol_bound.csv").write_text(report.to_csv(), encoding="ascii")
             r512 = report.rows[-1][1]
-            line = (
-                f"symbols: max ratio {report.max_ratio():.6g} vs 2x finest {2 * r512:.6g}, "
-                f"min defect {report.min_defect():.3e}"
-            )
-            if report.max_ratio() <= 2.0 * r512 and report.min_defect() >= 0.0:
-                print(line + " [ok]")
-            else:
-                failures.append(line)
+            gate(f"symbols: max ratio {report.max_ratio():.6g} vs 2x finest {2 * r512:.6g}, "
+                 f"min defect {report.min_defect():.3e}",
+                 report.max_ratio() <= 2.0 * r512 and report.min_defect() >= 0.0)
 
         if args.target in ("inequalities", "all"):
             for m in (32, 64):
                 grid = GridSpec(L=12.8, m=m)
                 report = inequality_study(grid, n_trials=200, rng_seed=0)
                 (out_dir / f"inequalities_m{m}.csv").write_text(report.to_csv(), encoding="ascii")
-                line = (f"inequalities m={m}: {report.violations} violation(s) in "
-                        f"{report.n_trials} trials")
-                if report.violations == 0:
-                    print(line + " [ok]")
-                else:
-                    failures.append(line)
+                gate(f"inequalities m={m}: {report.violations} violation(s) in "
+                     f"{report.n_trials} trials", report.violations == 0)
 
         if args.target in ("convergence", "all"):
             report = convergence_study()
@@ -561,11 +567,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 print(f"m={m}: psd iterations/step mean {sum(iters) / len(iters):.1f}, "
                       f"max {max(iters)}")
             rates = [r for pair in report.finest_rates(2) for r in pair]
-            line = "convergence: finest rates " + ", ".join(f"{r:.3f}" for r in rates)
-            if all(3.8 <= r <= 4.1 for r in rates):
-                print(line + " [ok]")
-            else:
-                failures.append(line)
+            gate("convergence: finest rates " + ", ".join(f"{r:.3f}" for r in rates),
+                 all(3.8 <= r <= 4.1 for r in rates))
     except OSError as exc:
         raise ConfigError(f"cannot write the reports in --out {out_dir}: {exc}") from exc
 

@@ -171,9 +171,9 @@ class UpdateOperator:
         S = 3/(2 Lambda) + dt (eps^2 + A dt) Lambda.
 
     The residual r = P0(f - N[phi]) is kept as its spectrum P0(f^ - Lin^ -
-    dt rfft2(phi^3)).  Lin is affine in phi: :meth:`start` sets f^ - Lin^ from
-    the spectrum of the starting point and :meth:`move` shifts it by
-    -alpha S d^, with the S d^ that :meth:`direction` formed, so an iteration
+    dt rfft2(phi^3)).  Lin is affine in phi: :meth:`start` forms f^ and sets
+    f^ - Lin^ from the spectrum of the starting point, and :meth:`move` shifts
+    it by -alpha S d^, with the S d^ that :meth:`direction` formed, so an iteration
     takes two transforms, rfft2 of phi^3 and the inverse of d for the line
     search's pointwise sums, each as two one-dimensional passes into the
     operator's buffers (:func:`chfd.grid._rfft2`, :func:`chfd.grid._irfft2`).
@@ -182,8 +182,8 @@ class UpdateOperator:
     on the mass hyperplane of the guess (:func:`solve` puts that on beta0's).
 
     Lifecycle: an operator holds the buffers of one grid, allocated once, and
-    serves any number of solves, each opened by :meth:`rhs` (the one method
-    that takes the scheme's parameters) and :meth:`start`, which reset the
+    serves any number of solves, each opened by one call of :meth:`start` (the
+    one method that takes the scheme's parameters), which resets the
     coefficients and the last direction in place; a solve leaves nothing that
     the next one reads.  :func:`solve` uses the plan's own operator from
     :func:`workspace`: built on the plan's first solve, kept for every dt,
@@ -210,11 +210,17 @@ class UpdateOperator:
         self._d, self._work = np.empty((2,) + grid.shape)  # d, and room for phi^3 or phi d^2
         self.scratch = (self._work, self._r_hat, self._z_hat)
 
-    def rhs(self, state: StepState, params: SchemeParams,
-            forcing: Field | None = None) -> np.ndarray:
-        """f^ from ``state`` and ``forcing``, the source sampled at t_k + dt, in the
-        buffer that :meth:`start` opens from; the idle r^ is scratch.  New ``params``
-        first set dt, S and the rhs symbol A dt^2 Lambda + 2 dt in place."""
+    def start(self, state: StepState, params: SchemeParams, guess_hat: np.ndarray,
+              forcing: Field | None = None) -> np.ndarray:
+        """Open a solve of the update from ``state`` at the field whose spectrum is
+        ``guess_hat``, and return its f^, with ``forcing`` the source sampled at t_k + dt.
+
+        New ``params`` first set dt, S and the rhs symbol A dt^2 Lambda + 2 dt in
+        place.  f^ goes in the r^ buffer, idle until the first :meth:`residual`;
+        then 1/sigma from mean phi_k^2, and f^ - Lin^ (the residual's linear part)
+        at the guess, which may be the idle d^ buffer.  The idle z^ buffer takes
+        dt phi_km1^, dt g^ / Lambda and H^, and the idle S d^ buffer S guess^.
+        """
         if params != self.params:
             self.params = params
             dt = self.dt = params.dt
@@ -222,20 +228,11 @@ class UpdateOperator:
             self.S += np.multiply(self.inv_Lambda, 1.5, out=self._rhs_symbol)
             np.multiply(self.Lambda, params.A * dt**2, out=self._rhs_symbol)
             self._rhs_symbol += 2.0 * dt
-        f_hat = np.multiply(self._rhs_symbol, state.phi_curr.spectrum, out=self._lin_hat)
-        f_hat -= np.multiply(state.phi_prev.spectrum, self.dt, out=self._r_hat)
+        f_hat = np.multiply(self._rhs_symbol, state.phi_curr.spectrum, out=self._r_hat)
+        f_hat -= np.multiply(state.phi_prev.spectrum, self.dt, out=self._z_hat)
         if forcing is not None:
-            g_hat = np.multiply(self.inv_Lambda, self.dt, out=self._r_hat)
+            g_hat = np.multiply(self.inv_Lambda, self.dt, out=self._z_hat)
             f_hat += np.multiply(g_hat, forcing.spectrum, out=g_hat)
-        return f_hat
-
-    def start(self, state: StepState, guess_hat: np.ndarray, f_hat: np.ndarray) -> None:
-        """Open a solve of the update from ``state``: 1/sigma from mean phi_k^2, and
-        f^ - Lin^ (the residual's linear part) at the field whose spectrum is ``guess_hat``.
-
-        ``f_hat`` may be the buffer of :meth:`rhs` and ``guess_hat`` the idle d^
-        buffer.  H^ and S guess^ use the idle z^ and S d^ buffers.
-        """
         phi_k = state.phi_curr.values
         sigma = np.add(self.S, 3.0 * self.dt * float(np.vdot(phi_k, phi_k)) / phi_k.size,
                        out=self.inv_sigma)
@@ -250,6 +247,7 @@ class UpdateOperator:
         lin_hat += hist_hat
         self._d_hat.fill(0.0)
         self._rz = self._rd = self._dsd = 0.0
+        return f_hat
 
     def residual(self, phi: np.ndarray) -> np.ndarray:
         """The spectrum r^ of r = P0(f - N[phi]), for phi at the iterate of f^ - Lin^."""
@@ -326,8 +324,9 @@ def solve(
 ) -> tuple[Field, SolveStats]:
     """Minimize the update objective on the mass hyperplane.
 
-    Works in the plan's operator (:func:`workspace`), which forms f^ from the
-    history and ``forcing``, the source sampled at t_k + dt.  Starts from the
+    Works in the plan's operator (:func:`workspace`), whose one call of
+    :meth:`~UpdateOperator.start` forms f^ from the history and ``forcing``, the
+    source sampled at t_k + dt, and opens the solve.  Starts from the
     extrapolation 3 phi_k - 3 phi_km1 + phi_km2, exact for a history quadratic
     in t, or 2 phi_k - phi_km1 while the state holds no ``phi_prev2``, with its
     spectrum formed from the history's and its values shifted to the mean
@@ -335,19 +334,15 @@ def solve(
     |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + rel_tol |P0 f|_2, within MAX_ITER
     iterations (read at call time).
     Raises :class:`SolverError` (carrying the residual history) on
-    non-convergence, at a residual that is not finite, or at one whose norm
-    overflows.  The state and the forcing must be on the plan's grid.
+    non-convergence, at a residual that is not finite, at one whose norm
+    overflows, or before the first iteration when |f|_2 overflows.  The state
+    and the forcing must be on the plan's grid.
     """
     _check_same_grid(plan, state.phi_curr)
     if forcing is not None:
         _check_same_grid(plan, forcing)
     grid = plan.grid
     op = workspace(plan)
-    rhs = op.rhs(state, params, forcing)
-    f_sq = _inner(grid, rhs, rhs)
-    f0_sq = f_sq - grid.h**2 / grid.m**2 * abs(rhs[0, 0]) ** 2  # without the zero mode
-    tol = _TOL_FLOOR * (1.0 + math.sqrt(f_sq)) + rel_tol * math.sqrt(max(f0_sq, 0.0))
-
     # the guess w (phi_k - phi_km1) + base, 3 phi_k - 3 phi_km1 + phi_km2 from three
     # levels or 2 phi_k - phi_km1 from two: the new field's values, and its
     # spectrum from the history's
@@ -363,7 +358,13 @@ def solve(
     # beta0's hyperplane, not on the one where the history's rounding sums.  S
     # vanishes at the zero mode, so the spectrum's zero mode goes unread.
     phi += state.beta0 - float(np.sum(phi) / phi.size)  # grid.mean
-    op.start(state, guess_hat, rhs)
+    f_hat = op.start(state, params, guess_hat, forcing)
+    f_sq = _inner(grid, f_hat, f_hat)
+    f0_sq = f_sq - grid.h**2 / grid.m**2 * abs(f_hat[0, 0]) ** 2  # without the zero mode
+    tol = _TOL_FLOOR * (1.0 + math.sqrt(f_sq)) + rel_tol * math.sqrt(max(f0_sq, 0.0))
+    if not math.isfinite(tol):
+        raise SolverError(f"{_at(state, params)}: right-hand side norm not finite "
+                          f"(|f|_2^2 = {f_sq}), so no stopping tolerance", [])
     residuals: list[float] = []
     objectives = [0.0]  # F - F(guess) at each iterate
 
@@ -389,7 +390,11 @@ def solve(
         failure = f"residual not finite at iteration {it}"
     tail = ", ".join(f"{v:.3e}" for v in residuals[-4:])
     raise SolverError(
-        f"step {state.step_index + 1} (t={state.t:.6g}, dt={params.dt:.6g}): "
-        f"{failure}; last residuals [{tail}], tolerance {tol:.3e}",
+        f"{_at(state, params)}: {failure}; last residuals [{tail}], tolerance {tol:.3e}",
         residuals,
     )
+
+
+def _at(state: StepState, params: SchemeParams) -> str:
+    """The step a solve makes, for its error message."""
+    return f"step {state.step_index + 1} (t={state.t:.6g}, dt={params.dt:.6g})"

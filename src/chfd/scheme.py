@@ -203,13 +203,15 @@ def assemble_rhs(
 ) -> np.ndarray:
     """Spectrum f^ (rfft layout) of the right-hand side of N[phi] = f, a new array.
 
-    What :func:`chfd.psd.solve` forms (:meth:`chfd.psd.UpdateOperator.rhs`),
-    with the source sampled at t_k + dt, from an operator of its own, so the
+    A copy of the f^ that :meth:`chfd.psd.UpdateOperator.start` forms for
+    :func:`chfd.psd.solve`, with the source sampled at t_k + dt; f^ does not
+    depend on the guess, here phi_k.  The operator is one of its own, so the
     plan's workspace is untouched.
     """
     _check_same_grid(plan, state.phi_curr)
     forcing = None if source is None else sample_source(source, plan.grid, state.t + params.dt)
-    return _psd.UpdateOperator(plan).rhs(state, params, forcing).copy()
+    op = _psd.UpdateOperator(plan)
+    return op.start(state, params, state.phi_curr.spectrum, forcing).copy()
 
 
 def _time_error(state: StepState, dt: float, work: np.ndarray) -> float:

@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Field, GridSpec, _irfft2, _rfft2, field_from_fn, norm_l2, norm_linf, norm_lp
+from .grid import (Field, GridMismatchError, GridSpec, _irfft2, _rfft2, field_from_fn,
+                   norm_l2, norm_linf, norm_lp)
 from .io import csv_line
 from .operators import d1_long, grad_norm_sq_long, grad_norm_sq_std, laplace_long, laplace_std
 from .psd import SolveStats
@@ -361,12 +362,16 @@ def manufactured_source_stencil(eps: float, grid: GridSpec) -> Source:
     the h^4 stencil defect on the cubic term's third harmonics is amplified by
     roughly e^{T/(4 eps^2)}, burying the scheme's own accuracy.
 
-    The returned source is bound to ``grid``; sampling it on another grid fails.
+    The returned source is bound to ``grid``: sampled at other points than its
+    cell centers, it raises GridMismatchError.
     """
     exact = manufactured_solution(grid.L)
+    centers = grid.cell_centers()
     envelope = field_from_fn(grid, lambda x, y: exact(x, y, 0.0)).values
 
     def S(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
+        if not (np.array_equal(x, centers[:, None]) and np.array_equal(y, centers[None, :])):
+            raise GridMismatchError(f"the stencil forcing of {grid} sampled off its cell centers")
         u = Field(grid, envelope * np.cos(t))
         uv = u.values
         mu = uv * uv * uv - uv - eps**2 * laplace_long(u).values

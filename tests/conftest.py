@@ -232,16 +232,6 @@ def random_field(grid: GridSpec, seed: int, scale: float = 1.0) -> Field:
     return Field(grid, random_values(grid.shape, seed, scale))
 
 
-def trig_field(grid: GridSpec, kx: int, ky: int, phase: float = 0.0) -> Field:
-    """Single periodic mode sin(2 pi kx x / L + phase) * cos(2 pi ky y / L)."""
-    a = 2.0 * np.pi / grid.L
-    x = grid.cell_centers()
-    return Field(
-        grid,
-        np.sin(a * kx * x + phase)[:, None] * np.cos(a * ky * x)[None, :],
-    )
-
-
 @pytest.fixture
 def grid32() -> GridSpec:
     return GridSpec(L=3.2, m=32)

@@ -284,6 +284,20 @@ def test_bad_configs_rejected(breakage):
         assert "unknown top-level section(s): solver" in str(err.value)
 
 
+def test_a_number_yaml_read_as_text_names_the_float_form(tmp_path, capsys):
+    """PyYAML reads 1e-3 and 1E5 as strings: the error says so and how to write them."""
+    bad = tmp_path / "bad.yaml"
+    for written, text, fixed in (("1e-3", "1e-3", "1.0e-3"), ("1E5", "1E5", "1.0E+5"),
+                                 ("'0.5'", "0.5", "0.5")):
+        bad.write_text(f"grid: {{m: 16}}\nschedule: [{{dt: {written}, t_end: 0.05}}]\n")
+        assert main(["run", str(bad)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"got '{text}' (YAML read it as text: write {fixed})\n")
+        assert yaml.safe_load(fixed) == float(text)
+    with pytest.raises(ConfigError, match="got 'big'$"):  # no number, no hint
+        parse_config(base_config(physics={"eps": 0.1, "A": "big"}))
+
+
 def test_every_seed_in_range_is_accepted():
     for seed in (0, 2**64 - 1):
         assert parse_config(base_config(initial={"seed": seed})).initial.seed == seed
@@ -719,12 +733,27 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
     assert main(["verify", "all", "--out", str(taken)]) == 2
-    for seed in (-1, 2**64):
-        bad.write_text(yaml.safe_dump(base_config(initial={"seed": seed})))
+    # one stderr line naming the key, or the step whose right-hand side norm overflows,
+    # or a finite initial state whose residual norm overflows at the first iteration
+    for section, code, start in [
+        ({"initial": {"seed": -1}}, 2, "config error: 'initial.seed' "),
+        ({"initial": {"seed": 2**64}}, 2, "config error: 'initial.seed' "),
+        ({"domain": {"L": 1.0e200}}, 2, "config error: 'domain.L' "),
+        ({"domain": {"L": 1.0e-200}}, 2, "config error: 'domain.L' "),
+        ({"physics": {"eps": 1.0e200}}, 2, "config error: 'physics.eps' "),
+        ({"schedule": [{"dt": 1.0e200, "t_end": 2.0e200}]}, 2, "config error: 'schedule[0].dt' "),
+        ({"physics": {"eps": 0.1, "A": 1.0e200}}, 2, "config error: 'physics.A' "),
+        ({"schedule": [{"dt": 1.0e100, "t_end": 2.0e100}]}, 3,
+         "solver failure: step 1 (t=0, dt=1e+100): right-hand side norm not finite"),
+        ({"initial": {"kind": "random", "seed": 1, "amplitude": 1.0e60}}, 3,
+         "solver failure: step 1 (t=0, dt=0.01): residual norm overflows at iteration 0 "
+         "(the residual is finite); last residuals [nan]"),
+    ]:
+        bad.write_text(yaml.safe_dump(base_config(**section, output={"dir": str(tmp_path / "x")})))
         capsys.readouterr()
-        assert main(["run", str(bad)]) == 2
+        assert main(["run", str(bad)]) == code
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: 'initial.seed' "), err
+        assert len(err) == 1 and err[0].startswith(start), err
     # 3: an initial energy that overflows, caught before row 0 and before any step
     overflow = tmp_path / "overflow.yaml"
     overflow.write_text(yaml.safe_dump(base_config(
@@ -738,17 +767,6 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "o" / "energy.csv").read_text().splitlines() == [
         "step,t,mass,E,E_mod,psd_iters,residual"
     ]
-    # 3: a finite initial state whose residual norm overflows at the first iteration
-    huge = tmp_path / "huge.yaml"
-    huge.write_text(yaml.safe_dump(base_config(
-        initial={"kind": "random", "seed": 1, "amplitude": 1.0e60},
-        output={"dir": str(tmp_path / "u")},
-    )))
-    assert main(["run", str(huge)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("solver failure: step 1 "), err
-    assert "residual norm overflows at iteration 0" in err[0]
-    assert "last residuals [nan]" in err[0]
     # 3: solver failure (impossible tolerance, one-iteration budget)
     monkeypatch.setattr(chfd.psd, "MAX_ITER", 1)
     monkeypatch.setattr(chfd.psd, "TOL_REL", 1e-16)

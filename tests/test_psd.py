@@ -51,20 +51,12 @@ def smooth_field(grid, seed, beta0=0.0, scale=0.3):
     return Field(grid, vals - np.mean(vals) + beta0)
 
 
-def smooth_state(grid, seed, beta0=0.0):
-    return StepState(
-        phi_prev=smooth_field(grid, seed, beta0),
-        phi_curr=smooth_field(grid, seed + 1, beta0),
-        t=0.0,
-        beta0=beta0,
-    )
-
-
 def make_problem(m):
     grid = GridSpec(L=3.2, m=m)
     plan = make_plan(grid)
     params = SchemeParams(eps=0.1, dt=0.01)
-    state = smooth_state(grid, seed=100, beta0=0.05)
+    state = StepState(phi_prev=smooth_field(grid, 100, beta0=0.05),
+                      phi_curr=smooth_field(grid, 101, beta0=0.05), t=0.0, beta0=0.05)
     rhs = assemble_rhs(state, params, plan)
     return grid, plan, params, state, rhs
 
@@ -74,18 +66,12 @@ def problem():
     return make_problem(32)
 
 
-def operator(plan, params, state):
-    """A new operator with its coefficients set for ``params`` (which :meth:`rhs` does)."""
+def first_search(plan, params, state, phi):
+    """A new operator and its (r^, d) at phi, as the first iteration of a solve from state."""
     op = UpdateOperator(plan)
-    op.rhs(state, params)
-    return op
-
-
-def first_search(op, state, phi, rhs):
-    """(r^, d) of the operator at phi, as the first iteration of a solve from state."""
-    op.start(state, np.fft.rfft2(phi), rhs)
+    op.start(state, params, np.fft.rfft2(phi))
     r_hat = op.residual(phi).copy()
-    return r_hat, op.direction(r_hat)
+    return op, r_hat, op.direction(r_hat)
 
 
 def rel_gap(a, b):
@@ -101,9 +87,8 @@ def oracle_residual_hat(state, params, phi, rhs, plan):
 
 
 def assert_operator_matches_oracles(grid, plan, params, state, rhs):
-    op = operator(plan, params, state)
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
-    r_hat, d = first_search(op, state, phi, rhs)
+    op, r_hat, d = first_search(plan, params, state, phi)
     assert rel_gap(r_hat, oracle_residual_hat(state, params, phi, rhs, plan)) <= 1e-12
     r = Field(grid, np.fft.irfft2(r_hat, s=grid.shape))
     d_oracle = oracle_precondition(r, hessian_sigma(state, params))
@@ -247,9 +232,8 @@ def test_cubic_root_rejects_a_cubic_that_is_not_monotone():
 
 def test_line_search_minimizes_objective(problem):
     grid, plan, params, state, rhs = problem
-    op = operator(plan, params, state)
     phi = state.phi_curr.values
-    _, d = first_search(op, state, phi, rhs)
+    op, _, d = first_search(plan, params, state, phi)
     alpha = op.cubic(phi).root()
 
     def F_along(a):
@@ -270,9 +254,8 @@ def test_line_search_cubic_coefficients_signs(problem):
     """At the current iterate the slope c0 is negative along the
     preconditioned residual, c1 > 0, c3 >= 0, c2^2 <= 3 c1 c3."""
     grid, plan, params, state, rhs = problem
-    op = operator(plan, params, state)
     phi = state.phi_curr.values
-    r_hat, d = first_search(op, state, phi, rhs)
+    op, r_hat, d = first_search(plan, params, state, phi)
     q = op.cubic(phi)
     assert q.c0 < 0  # descent direction
     assert q.c1 > 0
@@ -286,9 +269,9 @@ def test_restart_returns_a_descent_step(problem):
     """Where the PR+ direction is not a descent direction, it restarts at z."""
     grid, plan, params, state, rhs = problem
     phi = 2.0 * state.phi_curr.values - state.phi_prev.values
-    r_hat, z = first_search(operator(plan, params, state), state, phi, rhs)
-    op = operator(plan, params, state)
-    op.start(state, np.fft.rfft2(phi), rhs)
+    _, r_hat, z = first_search(plan, params, state, phi)
+    op = UpdateOperator(plan)
+    op.start(state, params, np.fft.rfft2(phi))
     # after a previous residual -r, beta = 2 and z + beta d_prev = -z: ascent
     op.direction(-r_hat)
     d = op.direction(r_hat)
@@ -303,9 +286,8 @@ def test_restart_returns_a_descent_step(problem):
 
 def test_zero_direction_rejected(problem):
     grid, plan, params, state, rhs = problem
-    op = operator(plan, params, state)
     phi = state.phi_curr.values
-    r_hat, _ = first_search(op, state, phi, rhs)
+    op, r_hat, _ = first_search(plan, params, state, phi)
     op.direction(np.zeros_like(r_hat))
     with pytest.raises(ValueError):
         op.cubic(phi).root()
@@ -320,7 +302,6 @@ def test_solver_at_equilibrium_returns_immediately():
     plan = make_plan(grid)
     params = SchemeParams(eps=0.1, dt=0.02)
     state = restart_flat(full(grid, -1.0))
-    rhs = assemble_rhs(state, params, plan)
     phi, stats = solve(state, params, plan)
     assert stats.iterations == 0
     assert len(stats.residuals) == 1
@@ -344,9 +325,9 @@ def test_a_history_quadratic_in_t_is_extrapolated_exactly(monkeypatch):
     started = []
     start, residual = UpdateOperator.start, UpdateOperator.residual
 
-    def spy_start(op, state, guess_hat, f_hat):
+    def spy_start(op, state, params, guess_hat, forcing=None):
         started.append(guess_hat.copy())
-        start(op, state, guess_hat, f_hat)
+        return start(op, state, params, guess_hat, forcing)
 
     def spy_residual(op, phi):
         if len(started) == 1:

@@ -28,7 +28,7 @@ from chfd import (
     restart_flat,
     step,
 )
-from chfd.grid import full
+from chfd.grid import GridMismatchError, full
 from chfd.scheme import (
     MassDriftError,
     NonFiniteStateError,
@@ -38,10 +38,6 @@ from chfd.scheme import (
 )
 
 from conftest import oracle_F, random_field, rhs_field
-
-
-def flat_state(phi):
-    return restart_flat(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +98,10 @@ def test_stencil_source_makes_reference_exact_semidiscretely():
 
 def test_stencil_source_bound_to_its_grid():
     grid = GridSpec(L=3.2, m=32)
-    other = GridSpec(L=3.2, m=16)
     src = manufactured_source_stencil(0.1, grid)
-    with pytest.raises(ValueError):
-        sample_source(src, other, 0.0)
+    for other in (GridSpec(L=3.2, m=16), GridSpec(L=6.4, m=32)):
+        with pytest.raises(GridMismatchError):
+            sample_source(src, other, 0.3)
 
 
 def test_sample_source_projects_roundoff_mean(grid32):
@@ -161,7 +157,7 @@ def test_restart_flat_duplicates_history(grid32):
 def test_rhs_for_constant_history_is_dt_c():
     grid = GridSpec(L=2.0, m=16)
     dt, c = 0.02, -0.4
-    state = flat_state(full(grid, c))
+    state = restart_flat(full(grid, c))
     f = rhs_field(grid, assemble_rhs(state, SchemeParams(eps=0.1, dt=dt), make_plan(grid)))
     assert np.allclose(f.values, dt * c, rtol=1e-14, atol=1e-16)
 
@@ -203,7 +199,7 @@ def test_forced_rhs_adds_inverse_laplacian_of_source():
     eps, dt = 0.1, 0.01
     exact = manufactured_solution(grid.L)
     phi0 = field_from_fn(grid, lambda x, y: exact(x, y, 0.0))
-    state = flat_state(phi0)
+    state = restart_flat(phi0)
     src = manufactured_source(eps, grid.L)
     params = SchemeParams(eps=eps, dt=dt)
     diff_hat = assemble_rhs(state, params, plan, src) - assemble_rhs(state, params, plan)
@@ -240,8 +236,7 @@ def test_objective_directional_derivative_is_residual():
 
     fd = (F_at(alpha) - F_at(-alpha)) / (2 * alpha)
     op = UpdateOperator(plan)
-    op.rhs(state, params)  # sets the operator's coefficients for params
-    op.start(state, phi.spectrum, f)
+    op.start(state, params, phi.spectrum)
     # the residual is P0(f - N[phi]); d is mean-zero, so (N[phi] - f, d) = -(r, d)
     residual = Field(grid, np.fft.irfft2(op.residual(phi.values), s=grid.shape))
     assert fd == pytest.approx(-inner_l2(residual, d), rel=1e-6, abs=1e-10)
@@ -565,7 +560,7 @@ def test_pure_phase_is_an_equilibrium():
     grid = GridSpec(L=2.0, m=16)
     plan = make_plan(grid)
     params = SchemeParams(eps=0.1, dt=0.05)
-    state = flat_state(full(grid, 1.0))
+    state = restart_flat(full(grid, 1.0))
     new, diag = step(state, params, plan)
     assert np.allclose(new.phi_curr.values, 1.0, rtol=0, atol=1e-12)
     assert diag.solve.iterations == 0

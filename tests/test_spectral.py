@@ -163,9 +163,7 @@ def test_preconditioner_single_mode():
     phi_k = random_field(grid, seed=19, scale=0.5)
     state = restart_flat(phi_k)
     op = UpdateOperator(plan)
-    op.rhs(state, SchemeParams(eps=eps, dt=dt, A=A))  # sets S for these parameters
-    zero = np.zeros_like(plan.inv_Lambda, complex)
-    op.start(state, zero, zero)
+    op.start(state, SchemeParams(eps=eps, dt=dt, A=A), np.zeros_like(plan.inv_Lambda, complex))
 
     def lam1(k):
         s = np.sin(np.pi * k / grid.m)
