@@ -14,10 +14,12 @@ Two shapes of call:
   allocates afresh what the previous one freed takes them where the C
   allocator has given that memory back to the system.
 
-For both, a last line before the profile gives the mean PSD iterations per
+For both, a line before the profile gives the mean PSD iterations per
 profiled step and the median of the relative tolerances their solves stopped
 at (an unforced step's own, from its time-error estimate; a forced step's
-``TOL_REL``; see ``chfd.scheme``).
+``TOL_REL``; see ``chfd.scheme``).  For ``converge`` a last line gives the
+cumulative time of ``chfd.scheme.sample_source``, the forced steps' sampling
+of the stencil forcing, as a share of all profiled time.
 
 The script only calls the package; it changes nothing.  cProfile adds a cost
 to every Python-level call and none to the work inside numpy, so it
@@ -42,7 +44,7 @@ import time
 from chfd.grid import GridSpec
 from chfd.psd import SolveStats
 from chfd.rng import random_initial_field
-from chfd.scheme import SchemeParams, restart_flat, step
+from chfd.scheme import SchemeParams, restart_flat, sample_source, step
 from chfd.spectral import make_plan
 from chfd.verification import convergence_study
 
@@ -53,12 +55,22 @@ def solve_line(stats: list[SolveStats]) -> str:
     return f"psd iterations per step: mean {iters:.2f}; median relative tolerance {rel_tol:.2e}"
 
 
+def forcing_line(profiler: cProfile.Profile) -> str:
+    code = sample_source.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    profile = pstats.Stats(profiler)
+    forcing = profile.stats[key][3]  # cumulative time
+    return (f"forcing sample: {forcing:.3f} s of {profile.total_tt:.3f} s profiled "
+            f"({100.0 * forcing / profile.total_tt:.1f}%)")
+
+
 def profile_converge(profiler: cProfile.Profile) -> tuple[str, list[str]]:
     profiler.enable()
     report = convergence_study((16, 32, 64))
     profiler.disable()
     stats = [s for level in report.solve_stats.values() for s in level]
-    return f"convergence_study((16, 32, 64)): {len(stats)} steps", [solve_line(stats)]
+    return (f"convergence_study((16, 32, 64)): {len(stats)} steps",
+            [solve_line(stats), forcing_line(profiler)])
 
 
 def profile_steps(profiler: cProfile.Profile, m: int, n_steps: int) -> tuple[str, list[str]]:

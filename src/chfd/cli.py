@@ -160,9 +160,13 @@ def _step_plan(
     snapshot time must be t0 itself, or a step time after it no later than the
     schedule end.  Anything else is a ConfigError.
     """
-    if _reached(schedule[-1].t_end, t0):
+    t_end = schedule[-1].t_end
+    if t_end <= t0:
+        raise ConfigError(f"initial time {t0} is already past the schedule end {t_end}")
+    if _reached(t_end, t0):
         raise ConfigError(
-            f"initial time {t0} is already past the schedule end {schedule[-1].t_end}"
+            f"the schedule end {t_end} is within the step-time tolerance "
+            f"{_TIME_REL_TOL * max(1.0, abs(t0))} of the initial time {t0}"
         )
     early = [s for s in snapshot_times if not _reached(t0, s)]
     if early:

@@ -30,7 +30,8 @@ import numpy as np
 from .grid import (Field, GridMismatchError, GridSpec, _irfft2, _rfft2, field_from_fn,
                    norm_l2, norm_linf, norm_lp)
 from .io import csv_line
-from .operators import d1_long, grad_norm_sq_long, grad_norm_sq_std, laplace_long, laplace_std
+from .operators import (_check, _laplace_long, _long_work, d1_long, grad_norm_sq_long,
+                        grad_norm_sq_std, laplace_long, laplace_std)
 from .psd import SolveStats
 from .rng import unit_floats
 from .scheme import SchemeParams, Source, ghost_init, step
@@ -363,19 +364,33 @@ def manufactured_source_stencil(eps: float, grid: GridSpec) -> Source:
     roughly e^{T/(4 eps^2)}, burying the scheme's own accuracy.
 
     The returned source is bound to ``grid``: sampled at other points than its
-    cell centers, it raises GridMismatchError.
+    cell centers, it raises GridMismatchError.  It computes in work buffers it
+    allocates once for ``grid``, so one source is not reentrant; each call
+    returns a new array, the bits of ``-sin(t) envelope - laplace_long(mu)``.
     """
     exact = manufactured_solution(grid.L)
     centers = grid.cell_centers()
     envelope = field_from_fn(grid, lambda x, y: exact(x, y, 0.0)).values
+    _check(Field(grid, envelope), 2)
+    fields = tuple(np.empty(grid.shape) for _ in range(3))
+    work = _long_work(grid.shape)
 
     def S(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
         if not (np.array_equal(x, centers[:, None]) and np.array_equal(y, centers[None, :])):
             raise GridMismatchError(f"the stencil forcing of {grid} sampled off its cell centers")
-        u = Field(grid, envelope * np.cos(t))
-        uv = u.values
-        mu = uv * uv * uv - uv - eps**2 * laplace_long(u).values
-        return -np.sin(t) * envelope - laplace_long(Field(grid, mu)).values
+        u, mu, lap = fields
+        np.multiply(envelope, np.cos(t), out=u)
+        # mu = u * u * u - u - eps**2 * laplace_long(u), in place
+        _laplace_long(u, grid.h, out=lap, work=work)
+        lap *= eps**2
+        np.multiply(u, u, out=mu)
+        mu *= u
+        mu -= u
+        mu -= lap
+        _laplace_long(mu, grid.h, out=lap, work=work)
+        out = np.multiply(-np.sin(t), envelope)
+        out -= lap
+        return out
 
     return S
 

@@ -493,6 +493,24 @@ def test_warm_start_at_or_past_the_end_of_a_segment(tmp_path, t0, n_steps):
     assert float(rows[1][1]) == pytest.approx(t0 + 0.02)
 
 
+@pytest.mark.parametrize("schedule, message", [
+    ([{"dt": 1.0e-10, "t_end": 5.0e-10}],
+     "config error: the schedule end 5e-10 is within the step-time tolerance 1e-09 "
+     "of the initial time 0.0"),
+    ([{"dt": 0.01, "t_end": 0.0}], "config error: initial time 0.0 is already past the "
+     "schedule end 0.0"),
+    ([{"dt": 0.01, "t_end": -0.05}], "config error: initial time 0.0 is already past the "
+     "schedule end -0.05"),
+])
+def test_a_schedule_that_ends_at_the_start_names_the_fault(tmp_path, capsys, schedule, message):
+    """An end after t0 but within the step-time tolerance of it is not 'past' t0."""
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(base_config(schedule=schedule,
+                                               output={"dir": str(tmp_path / "x")})))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_steps_are_numbered_through_a_dt_change(tmp_path):
     # 5 steps of 0.01, then 2 of 0.02; the repeated time writes two files
     data = base_config(

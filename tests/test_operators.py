@@ -16,6 +16,7 @@ from chfd import (
     laplace_long,
     laplace_std,
 )
+from chfd.operators import _laplace_long, _long_work
 
 from conftest import (
     brute_d1_long,
@@ -67,6 +68,28 @@ def test_stencils_equal_the_roll_form_bit_for_bit(m):
     assert np.array_equal(laplace_std(f).values, lap_std)
     assert grad_norm_sq_std(f) == grad_std
     assert grad_norm_sq_long(f) == (grad_std + curvature[0]) + curvature[1]
+
+
+@pytest.mark.parametrize("m", [31, 32, 64])
+def test_long_stencils_in_held_buffers_keep_the_bits(m):
+    """d2_long, laplace_long and the kernel that writes into caller-held buffers
+    give the bits of the five-point expression on np.roll shifts, also when
+    one set of buffers serves several fields in turn."""
+    grid = GridSpec(L=3.2, m=m)
+    h = grid.h
+    out, work = np.empty(grid.shape), _long_work(grid.shape)
+    for seed in (m, m + 1):
+        f = random_field(grid, seed=seed)
+        v = f.values
+        lap = None
+        for axis in (0, 1):
+            (m2, p2), (m1, p1) = rolled(v, 2, axis), rolled(v, 1, axis)
+            d2l = (-(m2 + p2) + 16.0 * (m1 + p1) + -30.0 * v) / (12.0 * h**2)
+            assert np.array_equal(d2_long(f, axis).values, d2l)
+            lap = d2l if lap is None else lap + d2l
+        assert np.array_equal(laplace_long(f).values, lap)
+        assert _laplace_long(v, h, out, work) is out
+        assert np.array_equal(out, lap)
 
 
 def test_laplacians_match_brute_oracle(grid32):

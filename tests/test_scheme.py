@@ -104,6 +104,55 @@ def test_stencil_source_bound_to_its_grid():
             sample_source(src, other, 0.3)
 
 
+def plain_stencil_source(eps, grid):
+    """The stencil forcing as one expression on fresh arrays: the bits that
+    manufactured_source_stencil must give."""
+    exact = manufactured_solution(grid.L)
+    envelope = field_from_fn(grid, lambda x, y: exact(x, y, 0.0)).values
+
+    def S(x, y, t):
+        u = Field(grid, envelope * np.cos(t))
+        uv = u.values
+        mu = uv * uv * uv - uv - eps**2 * laplace_long(u).values
+        return -np.sin(t) * envelope - laplace_long(Field(grid, mu)).values
+
+    return S
+
+
+@pytest.mark.parametrize("m", [16, 32, 64])
+def test_stencil_source_keeps_the_bits_of_the_plain_formula(m):
+    grid = GridSpec(L=3.2, m=m)
+    src, plain = manufactured_source_stencil(0.1, grid), plain_stencil_source(0.1, grid)
+    for t in (0.0, 0.01, 0.32, 0.53, 1.7, -2.4):
+        assert np.array_equal(sample_source(src, grid, t).values,
+                              sample_source(plain, grid, t).values)
+
+
+def held_arrays(source):
+    """The arrays a source's closure holds, alone or in tuples."""
+    cells = [c.cell_contents for c in source.__closure__]
+    items = [a for c in cells for a in (c if isinstance(c, tuple) else (c,))]
+    return [a for a in items if isinstance(a, np.ndarray)]
+
+
+def test_stencil_source_returns_new_arrays_and_owns_its_buffers():
+    """A sample is never overwritten by a later one, and sources on different
+    grids (here the same m, or the same L) hold no buffer in common."""
+    grid = GridSpec(L=3.2, m=32)
+    src = manufactured_source_stencil(0.1, grid)
+    x = grid.cell_centers()
+    first = src(x[:, None], x[None, :], 0.3)
+    kept = first.copy()
+    src(x[:, None], x[None, :], 1.1)
+    again = src(x[:, None], x[None, :], 0.3)
+    assert np.array_equal(first, kept) and np.array_equal(again, kept)
+    assert not np.shares_memory(first, again)
+    assert not any(np.shares_memory(first, a) for a in held_arrays(src))
+    for other in (GridSpec(L=6.4, m=32), GridSpec(L=3.2, m=16)):
+        theirs = held_arrays(manufactured_source_stencil(0.1, other))
+        assert not any(np.shares_memory(a, b) for a in held_arrays(src) for b in theirs)
+
+
 def test_sample_source_projects_roundoff_mean(grid32):
     src = manufactured_source(0.1, grid32.L)
     s = sample_source(src, grid32, 1.3)

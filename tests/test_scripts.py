@@ -1,9 +1,12 @@
 """Smoke tests of the scripts in scripts/, run as a user runs them."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -34,3 +37,9 @@ def test_profile_step_profiles_the_refinement_study():
     assert header.startswith("convergence_study((16, 32, 64)): 672 steps, "), proc.stdout
     assert solves.startswith("psd iterations per step: mean "), proc.stdout
     assert solves.endswith("; median relative tolerance 1.00e-10")
+    forcing = re.fullmatch(r"forcing sample: (\d+\.\d{3}) s of (\d+\.\d{3}) s profiled "
+                           r"\((\d+\.\d)%\)", proc.stdout.splitlines()[2])
+    assert forcing, proc.stdout
+    sampled, profiled, share = map(float, forcing.groups())
+    assert 0.0 < sampled < profiled
+    assert share == pytest.approx(100.0 * sampled / profiled, abs=0.5)
