@@ -74,8 +74,9 @@ EXIT_VERIFY = 4
 # The keys of the initial section that each kind uses, besides kind itself.
 _INITIAL_KEYS = {"random": ("mean", "amplitude", "seed"), "file": ("path",)}
 
-# Two times closer than this, relative to max(1, |t|), are the same step time;
-# it covers the rounding that t = t + dt accumulates over a long run.
+# Two times closer than this, relative to the larger of |t| and the step dt of
+# their lattice, are the same step time; it covers the rounding that t = t + dt
+# accumulates over a long run, and near t = 0 it shrinks with dt.
 _TIME_REL_TOL = 1e-9
 
 
@@ -136,9 +137,15 @@ def _section(data: dict, name: str, allowed: set[str], required: set[str] = froz
     return sec
 
 
-def _reached(t_target: float, t: float) -> bool:
-    """Whether time t is at or past t_target, up to the step-time tolerance."""
-    return t_target <= t + _TIME_REL_TOL * max(1.0, abs(t))
+def _time_tol(t: float, dt: float) -> float:
+    """The step-time tolerance at time t on a lattice of step dt."""
+    return _TIME_REL_TOL * max(dt, abs(t))
+
+
+def _reached(t_target: float, t: float, dt: float = 1.0) -> bool:
+    """Whether time t is at or past t_target, up to the step-time tolerance on a
+    lattice of step dt."""
+    return t_target <= t + _time_tol(t, dt)
 
 
 def _whole_steps(span: float, dt: float) -> int | None:
@@ -163,22 +170,24 @@ def _step_plan(
     t_end = schedule[-1].t_end
     if t_end <= t0:
         raise ConfigError(f"initial time {t0} is already past the schedule end {t_end}")
-    if _reached(t_end, t0):
+    # times at t0 are compared on the lattice of the first segment that ends after it
+    dt0 = next(seg.dt for seg in schedule if seg.t_end > t0)
+    if _reached(t_end, t0, dt0):
         raise ConfigError(
             f"the schedule end {t_end} is within the step-time tolerance "
-            f"{_TIME_REL_TOL * max(1.0, abs(t0))} of the initial time {t0}"
+            f"{_time_tol(t0, dt0):.3g} of the initial time {t0}"
         )
-    early = [s for s in snapshot_times if not _reached(t0, s)]
+    early = [s for s in snapshot_times if not _reached(t0, s, dt0)]
     if early:
         raise ConfigError(
             f"snapshot time(s) {', '.join(map(repr, early))} before the start time {t0!r}"
         )
     segments: list[tuple[float, int]] = []
-    snap_steps = [0 for s in snapshot_times if _reached(s, t0)]
-    snaps = sorted(s for s in snapshot_times if not _reached(s, t0))
+    snap_steps = [0 for s in snapshot_times if _reached(s, t0, dt0)]
+    snaps = sorted(s for s in snapshot_times if not _reached(s, t0, dt0))
     t_start, k_start = t0, 0
     for i, seg in enumerate(schedule):
-        if _reached(seg.t_end, t_start):
+        if _reached(seg.t_end, t_start, seg.dt):
             continue
         n = _whole_steps(seg.t_end - t_start, seg.dt)
         if not n:
@@ -187,7 +196,7 @@ def _step_plan(
                 f"{(seg.t_end - t_start) / seg.dt!r} is not a whole number of steps "
                 f"of dt = {seg.dt!r}"
             )
-        inside = [s for s in snaps if _reached(s, seg.t_end)]
+        inside = [s for s in snaps if _reached(s, seg.t_end, seg.dt)]
         for s in inside:
             k = _whole_steps(s - t_start, seg.dt)
             if k is None:
@@ -517,8 +526,9 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"tolerance and were solved again at the tightest")
     # the coarsening law E ~ t^-b, fitted over the run's last decade of time;
     # the summed step times miss its ends by rounding
-    t_end = config.schedule[-1].t_end
-    window = [r for r in result.records if _reached(t_end / 10, r.t) and _reached(r.t, t_end)]
+    t_end, dt = config.schedule[-1].t_end, config.schedule[-1].dt
+    window = [r for r in result.records
+              if _reached(t_end / 10, r.t, dt) and _reached(r.t, t_end, dt)]
     if len(window) >= 10 and all(r.E > 0 for r in window):
         a, b = fit_power_law(window, window[0].t, window[-1].t)
         print(f"energy decay: E ~ {a:.4g} t^{-b:.4f} over t in [{t_end / 10:g}, {t_end:g}] "

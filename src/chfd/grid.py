@@ -114,11 +114,14 @@ def field_from_fn(grid: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndar
     """Sample ``fn(x, y)`` at the cell centers.
 
     ``fn`` gets an ``(m, 1)`` x column and a ``(1, m)`` y row, broadcast
-    against each other, and must vectorize.
+    against each other, and must vectorize.  The field holds a copy of its
+    sample, broadcast to the grid only when the sample is not the grid's shape.
     """
     x = grid.cell_centers()
     vals = fn(x[:, None], x[None, :])
-    return Field(grid, np.broadcast_to(vals, grid.shape).astype(np.float64, copy=True))
+    if not (isinstance(vals, np.ndarray) and vals.shape == grid.shape):
+        vals = np.broadcast_to(vals, grid.shape)
+    return Field(grid, vals.astype(np.float64, copy=True))
 
 
 def mean(f: Field) -> float:

@@ -327,10 +327,11 @@ def solve(
     Works in the plan's operator (:func:`workspace`), whose one call of
     :meth:`~UpdateOperator.start` forms f^ from the history and ``forcing``, the
     source sampled at t_k + dt, and opens the solve.  Starts from the
-    extrapolation 3 phi_k - 3 phi_km1 + phi_km2, exact for a history quadratic
-    in t, or 2 phi_k - phi_km1 while the state holds no ``phi_prev2``, with its
-    spectrum formed from the history's and its values shifted to the mean
-    beta0, and stops when
+    extrapolation 4 phi_k - 6 phi_km1 + 4 phi_km2 - phi_km3, exact for a history
+    cubic in t, or, while the state holds no ``phi_prev3``, from
+    3 phi_k - 3 phi_km1 + phi_km2, or 2 phi_k - phi_km1 without ``phi_prev2``,
+    with its spectrum formed from the history's and its values shifted to the
+    mean beta0, and stops when
     |P0(f - N[phi])|_2 <= 1e-15 (1 + |f|_2) + rel_tol |P0 f|_2, within MAX_ITER
     iterations (read at call time).
     Raises :class:`SolverError` (carrying the residual history) on
@@ -343,17 +344,12 @@ def solve(
         _check_same_grid(plan, forcing)
     grid = plan.grid
     op = workspace(plan)
-    # the guess w (phi_k - phi_km1) + base, 3 phi_k - 3 phi_km1 + phi_km2 from three
-    # levels or 2 phi_k - phi_km1 from two: the new field's values, and its
-    # spectrum from the history's
-    curr, prev = state.phi_curr, state.phi_prev
-    w, base = (1.0, curr) if state.phi_prev2 is None else (3.0, state.phi_prev2)
-    phi = np.subtract(curr.values, prev.values)
-    phi *= w
-    phi += base.values
-    guess_hat = np.subtract(curr.spectrum, prev.spectrum, out=op._d_hat)
-    guess_hat *= w
-    guess_hat += base.spectrum
+    # the guess: the new field's values, and its spectrum from the history's
+    levels = [state.phi_curr, state.phi_prev, state.phi_prev2, state.phi_prev3]
+    while levels[-1] is None:
+        levels.pop()
+    phi = _extrapolate([f.values for f in levels])
+    guess_hat = _extrapolate([f.spectrum for f in levels], out=op._d_hat)
     # Every direction is mean-free, so the solve keeps its guess's mean: put it on
     # beta0's hyperplane, not on the one where the history's rounding sums.  S
     # vanishes at the zero mode, so the spectrum's zero mode goes unread.
@@ -393,6 +389,26 @@ def solve(
         f"{_at(state, params)}: {failure}; last residuals [{tail}], tolerance {tol:.3e}",
         residuals,
     )
+
+
+def _extrapolate(levels: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """The history phi_k, phi_km1, ... extrapolated to t_k + dt, exact for a history
+    polynomial in t of degree one below its two, three or four levels, in ``out``."""
+    curr, prev, *older = levels
+    if len(older) == 2:  # 4 (phi_k - 1.5 phi_km1 + phi_km2) - phi_km3
+        guess = np.multiply(prev, -1.5, out=out)
+        guess += curr
+        guess += older[0]
+        guess *= 4.0
+        guess -= older[1]
+        return guess
+    guess = np.subtract(curr, prev, out=out)
+    if older:  # 3 (phi_k - phi_km1) + phi_km2
+        guess *= 3.0
+        guess += older[0]
+    else:  # (phi_k - phi_km1) + phi_k
+        guess += curr
+    return guess
 
 
 def _at(state: StepState, params: SchemeParams) -> str:

@@ -32,7 +32,7 @@ a coarsening run lies many orders above a 1e-10 residual.  An unforced step
 whose state holds phi_km2 forms eta = dt |delta|_2 / |phi_k - beta0|_2 at its
 start, with delta = phi_k - (2 phi_km1 - phi_km2) the defect of the
 second-order extrapolation that the update applies to its concave term (the
-solve itself starts from a third-order one, :func:`chfd.psd.solve`), and
+solve itself starts from a fourth-order one, :func:`chfd.psd.solve`), and
 solves at the relative tolerance max(TOL_REL, KAPPA eta), the forcing-term
 rule of inexact Newton methods (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
 1996).  A history holds one dt; a step at another restarts it flat, and a flat
@@ -116,7 +116,7 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class StepState:
-    """History (phi at the current and previous step, and at the one before) plus bookkeeping.
+    """History (phi at the current and previous step, and at the two before) plus bookkeeping.
 
     ``dt`` is the step the history was made with and ``E_mod`` the last
     step's modified energy, which the energy guard of :func:`step` compares
@@ -124,7 +124,9 @@ class StepState:
     them.  ``phi_prev2``, phi two steps back, gives the time-error estimate
     eta of an unforced step and the third level of the solve's guess
     (:func:`chfd.psd.solve`); it is None until a step follows a history that
-    was not flat.
+    was not flat.  ``phi_prev3``, phi three steps back, is the guess's fourth
+    level; it is None until the history at one dt holds four levels, which a
+    flat one does after three steps.
     """
 
     phi_prev: Field
@@ -135,6 +137,7 @@ class StepState:
     dt: float | None = None
     E_mod: float | None = None
     phi_prev2: Field | None = None
+    phi_prev3: Field | None = None
 
 
 Source = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
@@ -154,8 +157,8 @@ def sample_source(source: Source, grid: GridSpec, t: float) -> Field:
     conserves mass for mean-free forcing.
     """
     svals = field_from_fn(grid, lambda x, y: source(x, y, t)).values
-    sbar = float(np.mean(svals))
-    if abs(sbar) > 1e-10 * (1.0 + float(np.max(np.abs(svals)))):
+    sbar = float(svals.mean())
+    if abs(sbar) > 1e-10 * (1.0 + float(np.abs(svals).max())):
         raise ValueError(f"source mean {sbar:.3e} at t={t} is not numerically zero")
     svals -= sbar
     return Field(grid, svals)
@@ -189,8 +192,9 @@ def restart_flat(phi0: Field, t: float = 0.0) -> StepState:
     consecutive states: the stepper never writes into a field.  ``step``
     knows a flat history by that identity and keeps no third level from it,
     so the first two updates form no time-error estimate and solve at
-    ``chfd.psd.TOL_REL``, and the second starts from 2 phi_1 - phi_0.  It
-    holds no dt: a step at any dt continues it.
+    ``chfd.psd.TOL_REL``, the second starts from 2 phi_1 - phi_0, the third
+    from three levels and the fourth from four.  It holds no dt: a step at
+    any dt continues it.
     """
     return StepState(phi_prev=phi0, phi_curr=phi0, t=t, beta0=mean(phi0))
 
@@ -247,7 +251,7 @@ def step(
     if state.dt is not None and state.dt != params.dt:
         # the old dt's E_mod is never read: the guard acts only on a step with eta,
         # which needs the phi_prev2 that a restarted history's first two steps lack
-        state = replace(state, phi_prev=state.phi_curr, phi_prev2=None)
+        state = replace(state, phi_prev=state.phi_curr, phi_prev2=None, phi_prev3=None)
     forcing = None if source is None else sample_source(source, plan.grid, state.t + params.dt)
     work = _psd.workspace(plan).scratch
     eta = (None if forcing is not None or state.phi_prev2 is None
@@ -299,5 +303,6 @@ def step(
         dt=params.dt,
         E_mod=E_mod,
         phi_prev2=None if state.phi_prev is state.phi_curr else state.phi_prev,
+        phi_prev3=state.phi_prev2,
     )
     return new_state, StepDiagnostics(record=record, solve=stats)

@@ -29,7 +29,7 @@ from chfd import (
     norm_l2,
 )
 import chfd.psd
-from chfd.psd import _TOL_FLOOR, TOL_REL, LineSearchCubic
+from chfd.psd import _TOL_FLOOR, TOL_REL, LineSearchCubic, UpdateOperator
 
 
 # ---------------------------------------------------------------------------
@@ -252,3 +252,23 @@ def fft_calls(monkeypatch) -> dict[str, int]:
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+@pytest.fixture
+def solve_starts(monkeypatch) -> list[dict]:
+    """Each PSD solve opened from here on: the state it steps from ("state"), and
+    copies of its starting point's spectrum ("guess_hat") and values ("guess")."""
+    starts: list[dict] = []
+    start, residual = UpdateOperator.start, UpdateOperator.residual
+
+    def spy_start(op, state, params, guess_hat, forcing=None):
+        starts.append({"state": state, "guess_hat": guess_hat.copy()})
+        return start(op, state, params, guess_hat, forcing)
+
+    def spy_residual(op, phi):
+        starts[-1].setdefault("guess", phi.copy())
+        return residual(op, phi)
+
+    monkeypatch.setattr(UpdateOperator, "start", spy_start)
+    monkeypatch.setattr(UpdateOperator, "residual", spy_residual)
+    return starts

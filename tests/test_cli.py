@@ -494,8 +494,8 @@ def test_warm_start_at_or_past_the_end_of_a_segment(tmp_path, t0, n_steps):
 
 
 @pytest.mark.parametrize("schedule, message", [
-    ([{"dt": 1.0e-10, "t_end": 5.0e-10}],
-     "config error: the schedule end 5e-10 is within the step-time tolerance 1e-09 "
+    ([{"dt": 1.0e-10, "t_end": 1.0e-20}],
+     "config error: the schedule end 1e-20 is within the step-time tolerance 1e-19 "
      "of the initial time 0.0"),
     ([{"dt": 0.01, "t_end": 0.0}], "config error: initial time 0.0 is already past the "
      "schedule end 0.0"),
@@ -509,6 +509,30 @@ def test_a_schedule_that_ends_at_the_start_names_the_fault(tmp_path, capsys, sch
                                                output={"dir": str(tmp_path / "x")})))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_a_schedule_on_a_fine_lattice_near_t0_runs(tmp_path, capsys):
+    """Near t = 0 the step-time tolerance scales with the segment's dt: five steps
+    of 1e-10 reach 5e-10, 5.5e-10 is still off the lattice, and the energy fit
+    over the last decade of 100 steps of 1e-11 leaves out t = 0."""
+    config = parse_config(base_config(schedule=[{"dt": 1.0e-10, "t_end": 5.0e-10}],
+                                      output={"snapshot_times": [0.0, 1.0e-10, 5.0e-10]}))
+    assert chfd.cli._step_plan(config.schedule, 0.0, config.output.snapshot_times) == (
+        [(1.0e-10, 5)], [0, 1, 5])
+    result = run_simulation(config, write_outputs=False)
+    assert result.state.step_index == 5
+    assert result.state.t == pytest.approx(5.0e-10, rel=1e-12)
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(base_config(schedule=[{"dt": 1.0e-10, "t_end": 5.5e-10}],
+                                               output={"dir": str(tmp_path / "x")})))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: schedule[0]: "), err
+    path.write_text(yaml.safe_dump(base_config(schedule=[{"dt": 1.0e-11, "t_end": 1.0e-9}],
+                                               output={"dir": str(tmp_path / "y")})))
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        " over t in [1e-10, 1e-09] (91 rows)")
 
 
 def test_steps_are_numbered_through_a_dt_change(tmp_path):

@@ -346,6 +346,31 @@ def test_a_history_quadratic_in_t_is_extrapolated_exactly(monkeypatch):
     assert np.max(np.abs(gap)) <= 1e-15 * 16 * np.max(np.abs(want_hat))
 
 
+def test_a_history_cubic_in_t_is_extrapolated_exactly(solve_starts):
+    """With four levels the solve starts from 4 phi_k - 6 phi_km1 + 4 phi_km2 -
+    phi_km3: a history sampled from a field cubic in t (with mean beta0) starts
+    at that field's next value, to rounding, in values and, off the zero mode,
+    in spectrum.  The three-level guess would miss it by 6 dt^3 |d| ~ 1e-6."""
+    grid = GridSpec(L=3.2, m=32)
+    a, b, c, d = (smooth_field(grid, seed, beta0=beta0).values
+                  for seed, beta0 in ((113, 0.05), (114, 0.0), (115, 0.0), (116, 0.0)))
+    t, dt = 0.4, 0.01
+
+    def at(s):
+        return Field(grid, a + s * (b + s * (c + s * d)))
+
+    state = StepState(phi_prev=at(t - dt), phi_curr=at(t), t=t, beta0=0.05, step_index=40,
+                      phi_prev2=at(t - 2 * dt), phi_prev3=at(t - 3 * dt))
+    solve(state, SchemeParams(eps=0.1, dt=dt), make_plan(grid))
+    (started,) = solve_starts
+    want = at(t + dt).values
+    assert np.max(np.abs(started["guess"] - want)) <= 1e-15 * 32
+    want_hat = np.fft.rfft2(want)
+    gap = started["guess_hat"] - want_hat
+    gap[0, 0] = 0.0
+    assert np.max(np.abs(gap)) <= 1e-15 * 32 * np.max(np.abs(want_hat))
+
+
 def test_solver_reaches_tolerance_and_reports_true_residual(problem):
     grid, plan, params, state, rhs = problem
     phi, stats = solve(state, params, plan, rel_tol=1e-11)

@@ -473,6 +473,60 @@ def test_a_step_after_a_dt_switch_matches_one_on_a_fresh_plan(grid32):
         assert reused_diag.record == fresh_diag.record
 
 
+def held_levels(state):
+    """Which of the history's third and fourth levels a state holds."""
+    return (state.phi_prev2 is not None, state.phi_prev3 is not None)
+
+
+def test_a_flat_history_first_starts_from_four_levels_on_its_fourth_step(grid32, solve_starts):
+    """A flat history gains a level a step: its third step starts from
+    3 phi_2 - 3 phi_1 + phi_0, and its fourth is the first to start from
+    4 phi_3 - 6 phi_2 + 4 phi_1 - phi_0, which the three-level guess misses."""
+    plan, params = make_plan(grid32), SchemeParams(eps=0.1, dt=0.01)
+    state = restart_flat(random_field(grid32, 62, scale=0.2))
+    spectra = [state.phi_curr.spectrum]
+    for _ in range(5):
+        state, _ = step(state, params, plan)
+        spectra.append(state.phi_curr.spectrum)
+    assert [held_levels(s["state"]) for s in solve_starts] == [
+        (False, False), (False, False), (True, False), (True, True), (True, True)]
+
+    def gap(j, weights):
+        """Largest gap, off the zero mode, between step j's guess and the
+        extrapolation with ``weights`` of phi_{j-1}, phi_{j-2}, ..."""
+        g = solve_starts[j - 1]["guess_hat"] - sum(
+            w * spectra[j - 1 - i] for i, w in enumerate(weights))
+        g[0, 0] = 0.0
+        return np.max(np.abs(g)) / np.max(np.abs(spectra[j]))
+
+    cubic, quadratic = (4.0, -6.0, 4.0, -1.0), (3.0, -3.0, 1.0)
+    assert gap(3, quadratic) <= 1e-14
+    assert gap(4, cubic) <= 1e-14 and gap(5, cubic) <= 1e-14
+    assert gap(4, quadratic) > 1e-9
+
+
+def test_a_dt_switch_drops_the_fourth_level(grid32, solve_starts):
+    """A history that holds four levels restarts flat at a new dt: the first solve
+    after the switch steps from neither phi_prev2 nor phi_prev3, and the four
+    steps from there equal, bit for bit, those from a flat history built afresh."""
+    first, second = SchemeParams(eps=0.1, dt=0.01), SchemeParams(eps=0.1, dt=0.02)
+    plan = make_plan(grid32)
+    state = restart_flat(random_field(grid32, 63, scale=0.2))
+    for _ in range(4):
+        state, _ = step(state, first, plan)
+    assert held_levels(state) == (True, True)
+    fresh = StepState(phi_prev=state.phi_curr, phi_curr=state.phi_curr, t=state.t,
+                      beta0=state.beta0, step_index=state.step_index)
+    solve_starts.clear()
+    for _ in range(4):
+        state, diag = step(state, second, plan)
+        fresh, fresh_diag = step(fresh, second, plan)
+        assert np.array_equal(state.phi_curr.values, fresh.phi_curr.values)
+        assert diag.record == fresh_diag.record
+    assert [held_levels(s["state"]) for s in solve_starts[::2]] == [
+        (False, False), (False, False), (True, False), (True, True)]
+
+
 def test_a_ghost_history_stepped_at_another_dt_restarts_flat(grid32):
     """ghost_init's history holds its dt: two steps at 2 dt equal, bit for bit,
     the same steps from restart_flat(phi0)."""

@@ -29,6 +29,18 @@ def test_profile_step_profiles_steady_state_steps():
     assert "; median relative tolerance " in solves
 
 
+def test_profile_step_profiles_late_steps_of_the_full_physics():
+    """--physics full takes configs/spinodal_full.yaml's eps, A and dt at its cell
+    width 0.025, and --warmup steps run before the profiled ones."""
+    proc = profile_step("steps", "--physics", "full", "--m", "16", "--warmup", "3", "--steps", "2")
+    assert proc.returncode == 0, proc.stderr
+    header, faults, solves = proc.stdout.splitlines()[:3]
+    assert header.startswith("2 steps at m=16, full physics (L=0.4, eps=0.03, A=0.0625, "
+                             "dt=0.01) after 3 warm-up step(s), "), proc.stdout
+    assert faults.startswith("minor page faults per step: ") and len(faults.split()) == 7
+    assert solves.startswith("psd iterations per step: mean "), proc.stdout
+
+
 def test_profile_step_profiles_the_refinement_study():
     """Every step of the forced study solves at TOL_REL (1e-10)."""
     proc = profile_step("converge")
