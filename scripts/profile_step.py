@@ -19,9 +19,11 @@ Two shapes of call:
 For both, a line before the profile gives the mean PSD iterations per
 profiled step and the median of the relative tolerances their solves stopped
 at (an unforced step's own, from its time-error estimate; a forced step's
-``TOL_REL``; see ``chfd.scheme``).  For ``converge`` a last line gives the
+``TOL_REL``; see ``chfd.scheme``).  For ``converge`` a further line gives the
 cumulative time of ``chfd.scheme.sample_source``, the forced steps' sampling
-of the stencil forcing, as a share of all profiled time.
+of the stencil forcing, as a share of all profiled time.  A last line gives
+that share for the energy diagnostics, ``energy`` plus ``modified_energy``,
+which only unforced steps form: it reads 0 for ``converge``.
 
 The script only calls the package; it changes nothing.  cProfile adds a cost
 to every Python-level call and none to the work inside numpy, so it
@@ -51,6 +53,7 @@ import time
 from pathlib import Path
 
 from chfd.cli import load_config
+from chfd.diagnostics import energy, modified_energy
 from chfd.grid import GridSpec
 from chfd.psd import SolveStats
 from chfd.rng import random_initial_field
@@ -76,13 +79,21 @@ def solve_line(stats: list[SolveStats]) -> str:
     return f"psd iterations per step: mean {iters:.2f}; median relative tolerance {rel_tol:.2e}"
 
 
-def forcing_line(profiler: cProfile.Profile) -> str:
-    code = sample_source.__code__
-    key = (code.co_filename, code.co_firstlineno, code.co_name)
+def share_line(profiler: cProfile.Profile, label: str, *functions) -> str:
+    """The summed cumulative time of ``functions`` as a share of all profiled
+    time; a function that was never called adds 0."""
     profile = pstats.Stats(profiler)
-    forcing = profile.stats[key][3]  # cumulative time
-    return (f"forcing sample: {forcing:.3f} s of {profile.total_tt:.3f} s profiled "
-            f"({100.0 * forcing / profile.total_tt:.1f}%)")
+    spent = 0.0
+    for fn in functions:
+        code = fn.__code__
+        stats = profile.stats.get((code.co_filename, code.co_firstlineno, code.co_name))
+        spent += stats[3] if stats else 0.0  # cumulative time
+    return (f"{label}: {spent:.3f} s of {profile.total_tt:.3f} s profiled "
+            f"({100.0 * spent / profile.total_tt:.1f}%)")
+
+
+def energy_line(profiler: cProfile.Profile) -> str:
+    return share_line(profiler, "energy diagnostics", energy, modified_energy)
 
 
 def profile_converge(profiler: cProfile.Profile) -> tuple[str, list[str]]:
@@ -91,7 +102,8 @@ def profile_converge(profiler: cProfile.Profile) -> tuple[str, list[str]]:
     profiler.disable()
     stats = [s for level in report.solve_stats.values() for s in level]
     return (f"convergence_study((16, 32, 64)): {len(stats)} steps",
-            [solve_line(stats), forcing_line(profiler)])
+            [solve_line(stats), share_line(profiler, "forcing sample", sample_source),
+             energy_line(profiler)])
 
 
 def profile_steps(profiler: cProfile.Profile, name: str, m: int, n_steps: int,
@@ -113,6 +125,7 @@ def profile_steps(profiler: cProfile.Profile, name: str, m: int, n_steps: int,
             f"A={params.A:g}, dt={params.dt:g}) after {warmup} warm-up step(s)"), [
         " ".join(["minor page faults per step:", *map(str, faults)]),
         solve_line(stats),
+        energy_line(profiler),
     ]
 
 

@@ -30,13 +30,17 @@ __all__ = ["EnergyRecord", "energy", "modified_energy", "fit_power_law"]
 
 @dataclass(frozen=True)
 class EnergyRecord:
-    """One row of the run log (also the energy CSV row layout)."""
+    """One row of the run log (also the energy CSV row layout).
+
+    E and E_mod are None in the record of a forced step, which forms no
+    energies (:func:`chfd.scheme.step`); a run takes unforced steps only.
+    """
 
     step: int
     t: float
     mass: float
-    E: float
-    E_mod: float
+    E: float | None
+    E_mod: float | None
     psd_iters: int
     residual: float
 

@@ -37,7 +37,8 @@ solves at the relative tolerance max(TOL_REL, KAPPA eta), the forcing-term
 rule of inexact Newton methods (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
 1996).  A history holds one dt; a step at another restarts it flat, and a flat
 history's first two steps, without phi_km2, solve at ``chfd.psd.TOL_REL``.  So
-does a forced step, which measures the scheme's own error and forms no eta.
+does a forced step, which measures the scheme's own error and forms no eta, and
+no energies either: the energy law below covers only the unforced scheme.
 The energy bound assumes an exact solve: a loosened step that raises the
 modified energy by more than 1e-10 of it is solved again at TOL_REL (the
 energy guard).
@@ -121,8 +122,9 @@ class StepState:
     ``dt`` is the step the history was made with and ``E_mod`` the last
     step's modified energy, which the energy guard of :func:`step` compares
     with; both are None for a history that starts flat, and :func:`step` sets
-    them.  ``phi_prev2``, phi two steps back, gives the time-error estimate
-    eta of an unforced step and the third level of the solve's guess
+    them (E_mod stays None after a forced step, which forms no energies).
+    ``phi_prev2``, phi two steps back, gives the time-error estimate eta of an
+    unforced step and the third level of the solve's guess
     (:func:`chfd.psd.solve`); it is None until a step follows a history that
     was not flat.  ``phi_prev3``, phi three steps back, is the guess's fourth
     level; it is None until the history at one dt holds four levels, which a
@@ -146,6 +148,11 @@ Source = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 @dataclass(frozen=True)
 class StepDiagnostics:
+    """What :func:`step` reports: the step's log row and its solve's statistics.
+
+    The record of a forced step holds no energies (E and E_mod are None).
+    """
+
     record: EnergyRecord
     solve: _psd.SolveStats
 
@@ -243,10 +250,14 @@ def step(
     A history made at another dt first restarts flat.  The solve stops at the
     module's tolerance (TOL_REL and eta from the state's three levels); the
     energy guard compares the new field's modified energy with ``state.E_mod``
-    (``SolveStats.resolves``).  Past the plan's first solve, the only arrays
-    such a step allocates are the new field and its spectrum: the solve forms
-    f^ in the plan's solver workspace (:func:`chfd.psd.workspace`), and eta and
-    the diagnostics borrow its ``scratch``.
+    (``SolveStats.resolves``).  A forced step (``source`` given) forms no
+    energies, as the energy law covers only the unforced scheme: its record's
+    E and E_mod and its state's E_mod are None, while the mass-drift and
+    finiteness checks still run, and the new field's spectrum is first formed
+    by the next solve.  Past the plan's first solve, the only arrays such a
+    step allocates are the new field and its spectrum: the solve forms f^ in
+    the plan's solver workspace (:func:`chfd.psd.workspace`), and eta and the
+    diagnostics borrow its ``scratch``.
     """
     if state.dt is not None and state.dt != params.dt:
         # the old dt's E_mod is never read: the guard acts only on a step with eta,
@@ -258,8 +269,9 @@ def step(
            else _time_error(state, params.dt, work[0]))
     rel_tol = _psd.TOL_REL if eta is None else max(_psd.TOL_REL, KAPPA * eta)
 
-    def solved(rel_tol: float) -> tuple[Field, _psd.SolveStats, float, float, float]:
-        """The update solved to ``rel_tol``, checked: field, stats, mass, E and E_mod."""
+    def solved(rel_tol: float) -> tuple[Field, _psd.SolveStats, float, float | None, float | None]:
+        """The update solved to ``rel_tol``, checked: field, stats, mass, E and E_mod
+        (both None on a forced step)."""
         # through the module attribute, so a wrapper patched onto chfd.psd.solve runs
         phi, stats = _psd.solve(state, params, plan, forcing, rel_tol=rel_tol)
         new_mass = mean(phi)
@@ -272,6 +284,9 @@ def step(
                 f"mass drifted to {new_mass!r} (beta0 = {state.beta0!r}) "
                 f"at step {state.step_index + 1}"
             )
+        if forcing is not None:
+            # the energy law covers the unforced scheme only
+            return phi, stats, new_mass, None, None
         E = energy(phi, params.eps, plan, work=work)
         E_mod = modified_energy(phi, state.phi_curr, params.dt, plan, E=E, work=work)
         return phi, stats, new_mass, E, E_mod

@@ -99,6 +99,16 @@ class RefinementReport:
         ]))
 
 
+def _check_distinct(m_list: Sequence[int]) -> None:
+    """A refinement study rates each level against the one before: a grid size
+    given twice would pair a level with itself (a rate of 0) and count twice in
+    the regression."""
+    for i, m in enumerate(m_list):
+        if m in m_list[:i]:
+            raise ValueError(f"grid size {m!r} repeats in {list(m_list)!r}; "
+                             f"a refinement study needs distinct grid sizes")
+
+
 def _rows_from_errors(levels: Sequence[tuple[float, float, float]]) -> list[RefinementRow]:
     rows = [RefinementRow(*levels[0], None, None)]
     for (_, prev2, previnf), (h, e2, einf) in zip(levels, levels[1:]):
@@ -158,7 +168,8 @@ def truncation_study(
 
     ``case`` names one of ``TRUNCATION_CASES``.  For each m: tau = (discrete
     op applied to sampled f) - (sampled analytic value); reports both norms of
-    tau and the halving rates.
+    tau and the halving rates.  A repeated grid size raises ValueError before
+    any level runs.
     """
     try:
         op, f, exact = _builtin_cases(L)[case]
@@ -167,6 +178,7 @@ def truncation_study(
                          f"built-ins: {sorted(TRUNCATION_CASES)}") from None
     if len(m_list) < 2:
         raise ValueError("need at least 2 grid levels for a refinement study")
+    _check_distinct(m_list)
     levels = []
     for m in m_list:
         grid = GridSpec(L=L, m=m)
@@ -421,13 +433,15 @@ def convergence_study(
 
     The report carries per-level ``solve_stats`` so solver behavior over the
     run is inspectable.  Bad arguments raise ValueError before the first
-    level runs, a level that takes no step among them (its error is 0).
+    level runs, a repeated grid size and a level that takes no step among them
+    (its error is 0).
     """
     if len(m_list) < 2:
         raise ValueError(f"need at least 2 grid sizes for a refinement study, got {list(m_list)!r}")
     if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 5
                for m in m_list):
         raise ValueError(f"grid sizes must be integers >= 5, got {list(m_list)!r}")
+    _check_distinct(m_list)
     if not (math.isfinite(dt_factor) and dt_factor > 0):
         raise ValueError(f"dt_factor must be finite and positive, got {dt_factor!r}")
     for m in m_list:

@@ -10,6 +10,7 @@ import pytest
 import chfd.cli
 import chfd.operators
 import chfd.psd
+import chfd.scheme
 from chfd import (
     Field,
     GridSpec,
@@ -681,6 +682,60 @@ def test_one_step_tracks_reference_solution():
     new, _ = step(state, params, plan, source=src)
     ref = field_from_fn(grid, lambda x, y: exact(x, y, dt))
     assert norm_linf(Field(grid, new.phi_curr.values - ref.values)) < 1e-7
+
+
+def forced_steps(n, dt=0.01, m=16):
+    """n steps of the forced reference problem from its ghost history: the last
+    state, the last diagnostics, the plan and the parameters."""
+    grid = GridSpec(L=3.2, m=m)
+    plan = make_plan(grid)
+    exact = manufactured_solution(grid.L)
+    src = manufactured_source_stencil(0.1, grid)
+    params = SchemeParams(eps=0.1, dt=dt)
+    state = ghost_init(field_from_fn(grid, lambda x, y: exact(x, y, 0.0)), params, source=src)
+    for _ in range(n):
+        state, diag = step(state, params, plan, source=src)
+    return state, diag, plan, params
+
+
+def test_a_forced_step_forms_no_energies(monkeypatch):
+    """The energy law covers only the unforced scheme: a forced step calls neither
+    energy, and its record and state hold None; its mass is still checked."""
+    def no_energy(*args, **kwargs):
+        raise AssertionError("a forced step formed an energy")
+
+    monkeypatch.setattr(chfd.scheme, "energy", no_energy)
+    monkeypatch.setattr(chfd.scheme, "modified_energy", no_energy)
+    state, diag, _, _ = forced_steps(4)
+    assert state.phi_prev3 is not None  # steps from four levels ran too
+    assert (diag.record.E, diag.record.E_mod, state.E_mod) == (None, None, None)
+    assert diag.record.mass == mean(state.phi_curr)
+
+    solve = chfd.psd.solve
+
+    def drifting(*args, **kwargs):
+        phi, stats = solve(*args, **kwargs)
+        return Field(phi.grid, phi.values + 1e-6), stats
+
+    monkeypatch.setattr(chfd.psd, "solve", drifting)
+    with pytest.raises(MassDriftError, match="step 1"):
+        forced_steps(1)
+
+
+def test_an_unforced_step_after_forced_ones_forms_its_energies(monkeypatch):
+    """The state that a forced step leaves holds no E_mod, so the energy guard of
+    the next, loosened, unforced step is idle even where it would solve again on
+    any E_mod (a rise tolerance of -1); that step records finite energies."""
+    state, _, plan, params = forced_steps(3)
+    monkeypatch.setattr(chfd.scheme, "_EMOD_RISE_TOL", -1.0)
+    new, diag = step(state, params, plan)
+    assert diag.solve.rel_tol > chfd.psd.TOL_REL and diag.solve.resolves == 0
+    E, E_mod = diag.record.E, diag.record.E_mod
+    assert np.isfinite(E) and np.isfinite(E_mod) and E_mod >= E
+    assert new.E_mod == E_mod
+    # the guard acts on the step after it, which has the E_mod to compare with
+    _, diag = step(new, params, plan)
+    assert diag.solve.resolves == 1
 
 
 def test_small_stabilization_warns():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
+ENERGY_LINE = r"energy diagnostics: (\d+\.\d{3}) s of (\d+\.\d{3}) s profiled \((\d+\.\d)%\)"
 
 
 def profile_step(*args):
@@ -27,6 +28,11 @@ def test_profile_step_profiles_steady_state_steps():
     assert faults.startswith("minor page faults per step: ") and len(faults.split()) == 7
     assert solves.startswith("psd iterations per step: mean "), proc.stdout
     assert "; median relative tolerance " in solves
+    # every unforced step forms E and E_mod
+    energies = re.fullmatch(ENERGY_LINE, proc.stdout.splitlines()[3])
+    assert energies, proc.stdout
+    spent, profiled, share = map(float, energies.groups())
+    assert 0.0 <= spent <= profiled and 0.0 < share < 100.0
 
 
 def test_profile_step_profiles_late_steps_of_the_full_physics():
@@ -55,3 +61,8 @@ def test_profile_step_profiles_the_refinement_study():
     sampled, profiled, share = map(float, forcing.groups())
     assert 0.0 < sampled < profiled
     assert share == pytest.approx(100.0 * sampled / profiled, abs=0.5)
+    # a forced step forms no energies
+    energies = re.fullmatch(ENERGY_LINE, proc.stdout.splitlines()[3])
+    assert energies, proc.stdout
+    assert energies.group(1) == "0.000" and energies.group(3) == "0.0"
+    assert float(energies.group(2)) == profiled

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,3 +210,19 @@ def test_convergence_study_rejects_a_level_that_takes_no_step(monkeypatch):
         convergence_study(m_list=(16, 32), dt_factor=float("nan"))
     with pytest.raises(ValueError, match="integers >= 5"):
         convergence_study(m_list=(32, 4))
+
+
+@pytest.mark.parametrize("m_list", [(32, 32), (16, 16), (16, 32, 16)])
+def test_a_refinement_study_rejects_a_repeated_grid_size(monkeypatch, m_list):
+    """A level paired with itself reads a rate of 0 and skews the regression:
+    both studies name the repeated size before any level runs."""
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(chfd.verification, "step", no_level)
+    monkeypatch.setattr(chfd.verification, "laplace_long", no_level)
+    message = f"grid size {m_list[-1]} repeats in {list(m_list)!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        truncation_study("sin_x", m_list=m_list, L=1.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        convergence_study(m_list=m_list)
