@@ -33,7 +33,7 @@ import yaml
 from . import __version__
 from .diagnostics import EnergyRecord, energy, fit_power_law, modified_energy
 from .grid import Field, GridSpec, mean
-from .io import EnergyCsvWriter, read_snapshot, write_snapshot
+from .io import EnergyCsvWriter, create_file, read_snapshot, write_snapshot
 from .psd import SolverError, SolveStats
 from .rng import random_initial_field
 from .scheme import (
@@ -423,16 +423,17 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
     """Advance through the whole schedule; returns records and final state.
 
     Writes (when ``write_outputs``): ``energy.csv`` streamed row by row, the
-    requested snapshots, and a ``run.yaml`` echo of the effective config; an
-    output file it cannot write is a ConfigError, after the rows already in
-    ``energy.csv``.  The energy CSV always contains the initial row, every
-    ``energy_every``-th step, and the final step; the returned records and
-    solve stats are those rows, with or without ``write_outputs``, so a run
-    holds no more history than the CSV.  Every segment and snapshot time must sit on the
-    step lattice from the initial time (ConfigError otherwise), so a snapshot
-    is taken at exactly the step time it names.  Steps are numbered from the
-    initial time through the whole run, across changes of dt.  The history
-    starts flat (``restart_flat``), and ``step`` restarts it flat at each dt change.
+    requested snapshots, and a ``run.yaml`` echo of the effective config, each
+    a new file (``io.create_file``); an output file it cannot write is a
+    ConfigError, after the rows already in ``energy.csv``.  The energy CSV
+    always contains the initial row, every ``energy_every``-th step, and the
+    final step; the returned records and solve stats are those rows, with or
+    without ``write_outputs``, so a run holds no more history than the CSV.
+    Every segment and snapshot time must sit on the step lattice from the
+    initial time (ConfigError otherwise), so a snapshot is taken at exactly the
+    step time it names.  Steps are numbered from the initial time through the
+    whole run, across changes of dt.  The history starts flat
+    (``restart_flat``), and ``step`` restarts it flat at each dt change.
     """
     grid = GridSpec(L=config.L, m=config.m)
     plan = make_plan(grid)
@@ -458,7 +459,7 @@ def run_simulation(config: RunConfig, write_outputs: bool = True) -> RunResult:
     try:
         if write_outputs:
             out_dir.mkdir(parents=True, exist_ok=True)
-            with open(out_dir / "run.yaml", "w", encoding="utf-8") as fh:
+            with create_file(out_dir / "run.yaml", encoding="utf-8") as fh:
                 fh.write(f"# chfd {__version__}\n")
                 yaml.safe_dump(_config_echo(config), fh, sort_keys=True)
             csv_writer = EnergyCsvWriter(out_dir / "energy.csv")
@@ -546,20 +547,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             failures.append(line)
 
+    def save(name: str, report) -> None:
+        with create_file(out_dir / name, encoding="ascii") as fh:
+            fh.write(report.to_csv())
+
     try:  # only --out and the CSVs in it are written here
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if args.target in ("truncation", "all"):
             for case in TRUNCATION_CASES:
                 report = truncation_study(case, m_list=(32, 64, 128, 256), L=1.0)
-                (out_dir / f"truncation_{case}.csv").write_text(report.to_csv(), encoding="ascii")
+                save(f"truncation_{case}.csv", report)
                 rates = [r for pair in report.finest_rates(2) for r in pair]
                 gate(f"truncation {case}: finest rates " + ", ".join(f"{r:.3f}" for r in rates),
                      all(3.9 <= r <= 4.1 for r in rates))
 
         if args.target in ("symbols", "all"):
             report = symbol_bound_study(L=12.8, m_list=(16, 32, 64, 128, 256, 512))
-            (out_dir / "symbol_bound.csv").write_text(report.to_csv(), encoding="ascii")
+            save("symbol_bound.csv", report)
             r512 = report.rows[-1][1]
             gate(f"symbols: max ratio {report.max_ratio():.6g} vs 2x finest {2 * r512:.6g}, "
                  f"min defect {report.min_defect():.3e}",
@@ -569,13 +574,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for m in (32, 64):
                 grid = GridSpec(L=12.8, m=m)
                 report = inequality_study(grid, n_trials=200, rng_seed=0)
-                (out_dir / f"inequalities_m{m}.csv").write_text(report.to_csv(), encoding="ascii")
+                save(f"inequalities_m{m}.csv", report)
                 gate(f"inequalities m={m}: {report.violations} violation(s) in "
                      f"{report.n_trials} trials", report.violations == 0)
 
         if args.target in ("convergence", "all"):
             report = convergence_study()
-            (out_dir / "convergence.csv").write_text(report.to_csv(), encoding="ascii")
+            save("convergence.csv", report)
             for m, level in report.solve_stats.items():
                 iters = [s.iterations for s in level]
                 print(f"m={m}: psd iterations/step mean {sum(iters) / len(iters):.1f}, "

@@ -835,6 +835,8 @@ def test_run_reports_unusable_files_as_config_errors(tmp_path, capsys):
     huge.write_bytes(b"CHF1 1000000000 1000000000 3.2 0.0\n" + b"\x00" * (16 * 16 * 8))
     taken = tmp_path / "taken"
     taken.write_text("")
+    csv_dir = tmp_path / "o" / "energy.csv"
+    csv_dir.mkdir(parents=True)
     for bad_path, section in [
         (missing, {"initial": {"kind": "file", "path": str(missing)}}),
         (truncated, {"initial": {"kind": "file", "path": str(truncated)}}),
@@ -843,6 +845,7 @@ def test_run_reports_unusable_files_as_config_errors(tmp_path, capsys):
         (inf_cell, {"initial": {"kind": "file", "path": str(inf_cell)}}),
         (huge, {"initial": {"kind": "file", "path": str(huge)}}),  # header of 8e18 bytes
         (taken, {"output": {"dir": str(taken)}}),  # output dir is a file
+        (csv_dir, {"output": {"dir": str(csv_dir.parent)}}),  # energy.csv is a directory
     ]:
         config = tmp_path / "c.yaml"
         config.write_text(yaml.safe_dump(base_config(**section)))
